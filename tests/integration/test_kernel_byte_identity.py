@@ -10,6 +10,12 @@ compared against goldens captured with the *seed* (pre-fast-path)
 kernel.  Any divergence in event ordering, latency attribution, or
 control decisions shows up as a digest mismatch.
 
+A per-store matrix extends the bar to all six stores and all three
+drivers: for each store a small metered closed-loop point, a short
+open-loop overload point with a crash and the overload protections on,
+and one chaos-audit scenario.  A refactor of the harness layer must
+leave every one of them byte-identical.
+
 Regenerate after an *intentional* semantic change with::
 
     REPRO_UPDATE_KERNEL_GOLDENS=1 PYTHONPATH=src python -m pytest \
@@ -28,13 +34,15 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.provenance import stamp
+from repro.audit.harness import AuditScenario, run_audit_scenario
 from repro.analysis.trace_export import chrome_trace
 from repro.control import ControlPolicy, ControlScenario, run_control_scenario
 from repro.faults.schedule import FaultSchedule
 from repro.orchestrator.serialize import histogram_to_dict
-from repro.overload import OverloadPolicy, parse_shape
+from repro.overload import OverloadPolicy, parse_shape, run_overload_point
 from repro.sim.cluster import CLUSTER_M
 from repro.stores.base import ServiceProfile
+from repro.stores.registry import STORE_CLASSES
 from repro.ycsb.runner import BenchmarkConfig, run_benchmark
 from repro.ycsb.workload import WORKLOADS
 
@@ -160,11 +168,61 @@ def export_control_scenario() -> dict:
     }
 
 
+def _store_workload(store: str):
+    """A scan mix where the store has scans, else the scan-free one."""
+    return WORKLOADS["RSW" if STORE_CLASSES[store].supports_scans else "RW"]
+
+
+def export_closed_point(store: str) -> dict:
+    """A small metered closed-loop point with a crash and protections."""
+    schedule = FaultSchedule().crash("server-1", at=0.01,
+                                     restart_after=0.01)
+    config = BenchmarkConfig(
+        store=store, workload=_store_workload(store), n_nodes=2,
+        cluster_spec=SMALL_M, records_per_node=1000, measured_ops=400,
+        warmup_ops=100, seed=3, metrics_interval_s=0.01,
+        fault_schedule=schedule,
+        overload=OverloadPolicy(max_queue=16, deadline_s=0.05),
+    )
+    result = run_benchmark(config.store, config.workload, config.n_nodes,
+                           config=config)
+    payload = _stats_payload(result)
+    payload["metrics"] = result.metrics.to_payload()
+    payload["fault_log"] = [[t, desc] for t, desc in result.fault_log]
+    return stamp(payload, config)
+
+
+def export_open_point(store: str) -> dict:
+    """A short open-loop overload point with a crash mid-run."""
+    schedule = FaultSchedule().crash("server-1", at=0.2, restart_after=0.2)
+    config = BenchmarkConfig(
+        store=store, workload=_store_workload(store), n_nodes=2,
+        cluster_spec=SMALL_M, records_per_node=500, seed=5,
+        fault_schedule=schedule,
+        overload=OverloadPolicy(max_queue=16, deadline_s=0.05),
+    )
+    point = run_overload_point(config, 1500.0, duration_s=0.6,
+                               warmup_s=0.1)
+    return stamp(point.to_dict(), config)
+
+
+def export_audit_scenario(store: str) -> dict:
+    """One chaos-audit run: crash, heal, verify, four checkers."""
+    return run_audit_scenario(AuditScenario(store=store,
+                                            fault="crash")).to_dict()
+
+
 EXPORTS = {
     "figure_point": export_figure_point,
     "traced_point": export_traced_point,
     "control_scenario": export_control_scenario,
 }
+for _store in sorted(STORE_CLASSES):
+    for _kind, _export in (("closed", export_closed_point),
+                           ("open", export_open_point),
+                           ("audit", export_audit_scenario)):
+        EXPORTS[f"{_kind}_{_store}"] = (
+            lambda export=_export, store=_store: export(store))
 
 
 def _load_goldens() -> dict:
