@@ -17,7 +17,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 __all__ = ["chrome_trace", "write_chrome_trace"]
 
 
-def _attempts(trace: "Trace") -> list:
+def _store_attempts(trace: "Trace") -> list:
     """The per-attempt store spans: direct ``store`` children of the root.
 
     Each ``session.execute`` call wraps one attempt in a
@@ -29,7 +29,7 @@ def _attempts(trace: "Trace") -> list:
 
 
 def _span_events(trace: "Trace") -> Iterable[dict]:
-    attempts = _attempts(trace)
+    attempts = _store_attempts(trace)
     retried = attempts if len(attempts) >= 2 else []
     for node in trace.spans():
         end = node.end if node.end is not None else trace.root.end

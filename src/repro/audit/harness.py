@@ -40,9 +40,9 @@ from repro.faults.chaos import ChaosController
 from repro.faults.schedule import FaultSchedule
 from repro.obs.recorder import FlightRecorder
 from repro.sim.cluster import CLUSTER_M, Cluster
-from repro.sim.faults import FaultError, OverloadError
 from repro.storage.record import RecordSchema
-from repro.stores.base import OpError
+from repro.stores.base import OpType
+from repro.ycsb.client import attempt_op
 
 __all__ = ["AUDIT_SCHEMA", "AuditReport", "AuditScenario",
            "run_audit_scenario", "standard_schedule"]
@@ -323,28 +323,6 @@ class _AuditRun:
             return 0
         return int(fields["field0"])
 
-    def _attempt(self, make_op, retry):
-        """Retry loop matching the benchmark client's classification."""
-        sim = self.cluster.sim
-        attempt = 1
-        while True:
-            try:
-                result = yield from make_op()
-                if result is False:
-                    return False, None, "store"
-                return True, result, None
-            except OpError:
-                return False, None, "store"
-            except FaultError as exc:
-                kind = ("overload" if isinstance(exc, OverloadError)
-                        else "fault")
-                if attempt >= retry.max_attempts:
-                    return False, None, kind
-                backoff = retry.backoff_for(attempt)
-                attempt += 1
-                if backoff > 0:
-                    yield sim.timeout(backoff)
-
     def _session_proc(self, sid: int):
         scenario = self.scenario
         sim = self.cluster.sim
@@ -364,17 +342,21 @@ class _AuditRun:
                 fields = {"field0": f"{version:010d}"}
                 token = self.recorder.begin(sid, "write", key,
                                             version=version)
-                ok, __, kind = yield from self._attempt(
-                    lambda: session.insert(key, fields), retry)
-                self.recorder.complete(token, ok, error=kind)
+                kind, __ = yield from attempt_op(
+                    session, OpType.INSERT, key, fields, 0, retry)
+                self.recorder.complete(token, kind is None, error=kind)
             else:
                 key = self.keys[rng.randrange(len(self.keys))]
                 token = self.recorder.begin(sid, "read", key)
-                ok, fields, kind = yield from self._attempt(
-                    lambda: session.read(key), retry)
-                self.recorder.complete(
-                    token, ok, error=kind,
-                    version=self._decode(fields) if ok else None)
+                yield from self._read(session, token, key, retry)
+
+    def _read(self, session, token: int, key: str, retry):
+        """Read ``key`` through the client path; record its version."""
+        kind, fields = yield from attempt_op(
+            session, OpType.READ, key, None, 0, retry)
+        self.recorder.complete(
+            token, kind is None, error=kind,
+            version=self._decode(fields) if kind is None else None)
 
     def _verify_proc(self):
         """Post-heal verification reads through the normal client path."""
@@ -385,11 +367,7 @@ class _AuditRun:
         for key in self.keys:
             token = self.recorder.begin(sid, "read", key,
                                         phase=PHASE_VERIFY)
-            ok, fields, kind = yield from self._attempt(
-                lambda: session.read(key), retry)
-            self.recorder.complete(
-                token, ok, error=kind,
-                version=self._decode(fields) if ok else None)
+            yield from self._read(session, token, key, retry)
 
     # -- placement (declared-loss reconciliation) ------------------------------
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 import repro
 from repro.analysis.expectations import check_expectations
@@ -37,6 +38,14 @@ from repro.ycsb.runner import run_benchmark
 from repro.ycsb.workload import WORKLOADS
 
 __all__ = ["main"]
+
+
+def _write_export(path, text: str) -> Path:
+    """Write ``text`` verbatim to ``path``, creating parent directories."""
+    out = Path(path)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    return out
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
@@ -92,21 +101,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
               "(load in chrome://tracing or ui.perfetto.dev)")
     if args.metrics and result.metrics is not None:
         import json
-        from pathlib import Path
 
         from repro.analysis.provenance import stamp
 
         print()
         print(result.metrics.render())
         base = Path(args.metrics_out)
-        base.parent.mkdir(parents=True, exist_ok=True)
-        csv_path = base.with_suffix(".csv")
-        csv_path.write_text(result.metrics.to_csv())
-        prom_path = base.with_suffix(".prom")
-        prom_path.write_text(result.metrics.to_prometheus())
-        json_path = base.with_suffix(".json")
+        csv_path = _write_export(base.with_suffix(".csv"),
+                                 result.metrics.to_csv())
+        prom_path = _write_export(base.with_suffix(".prom"),
+                                  result.metrics.to_prometheus())
         payload = stamp(result.metrics.to_payload(), result.config)
-        json_path.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        json_path = _write_export(base.with_suffix(".json"), json.dumps(
+            payload, indent=2, sort_keys=True))
         print(f"wrote metrics to {csv_path} (timeseries), {prom_path} "
               f"(snapshot), {json_path} (report)")
     return 0
@@ -297,11 +304,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     }, spec)
     text = json.dumps(payload, indent=2, sort_keys=True)
     if args.export:
-        from pathlib import Path
-
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
+        out = _write_export(args.export, text)
         print(f"wrote {len(rows)} rows to {out}")
     else:
         print(text)
@@ -356,19 +359,15 @@ def _cmd_overload(args: argparse.Namespace) -> int:
               f"{point.goodput:>10,.0f} {pct:>7.1f}% {point.shed:>8} "
               f"{deadline_errors:>9} {point.max_queue_depth:>6}")
     if args.export:
-        from pathlib import Path
-
         payload = stamp(sweep.to_dict(), config)
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        out = _write_export(args.export,
+                            json.dumps(payload, indent=2, sort_keys=True))
         print(f"\nwrote sweep to {out}")
     return 0
 
 
 def _cmd_control(args: argparse.Namespace) -> int:
     import json
-    from pathlib import Path
 
     from repro.control import (ControlPolicy, ControlScenario,
                                run_control_scenario)
@@ -440,16 +439,13 @@ def _cmd_control(args: argparse.Namespace) -> int:
     if args.export:
         payload = {arm: result.to_dict()
                    for arm, result in results.items()}
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(payload, indent=2, sort_keys=True))
+        out = _write_export(args.export,
+                            json.dumps(payload, indent=2, sort_keys=True))
         print(f"\nwrote control runs to {out}")
     return 0
 
 
 def _cmd_obs(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.obs import ObsPolicy, ObsScenario, default_slos, \
         run_obs_scenario
     from repro.overload import OverloadPolicy, parse_shape
@@ -490,16 +486,12 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     report = run_obs_scenario(scenario)
     print(report.render())
     if args.export:
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n")
+        out = _write_export(args.export, report.to_json() + "\n")
         print(f"\nwrote incident report to {out}")
     return 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
     from repro.audit import (AuditScenario, QuorumSweep, render_sweep,
                              run_audit_scenario, run_quorum_sweep,
                              sweep_to_json)
@@ -526,9 +518,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
         payload = run_quorum_sweep(sweep, jobs=args.jobs)
         print(render_sweep(payload))
         if args.export:
-            out = Path(args.export)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(sweep_to_json(payload) + "\n")
+            out = _write_export(args.export, sweep_to_json(payload) + "\n")
             print(f"\nwrote sweep report to {out}")
         return 0 if payload["ok"] else 1
 
@@ -542,9 +532,7 @@ def _cmd_audit(args: argparse.Namespace) -> int:
     report = run_audit_scenario(scenario)
     print(report.render())
     if args.export:
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(report.to_json() + "\n")
+        out = _write_export(args.export, report.to_json() + "\n")
         print(f"\nwrote audit report to {out}")
     return 0 if report.ok else 1
 
@@ -639,12 +627,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     print()
     print(report.render())
     if args.export:
-        from pathlib import Path
-
-        out = Path(args.export)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(report.to_payload(), indent=2,
-                                  sort_keys=True))
+        out = _write_export(args.export, json.dumps(
+            report.to_payload(), indent=2, sort_keys=True))
         print(f"\nwrote plan report to {out}")
     return 0 if report.recommended is not None else 2
 

@@ -114,57 +114,53 @@ class ControlRunResult:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _kill_process(run, scenario):
+def _kill_process(deployment, scenario):
     """Process: crash the victim node at the scheduled time."""
-    yield run.sim.timeout(scenario.kill_at_s)
+    yield deployment.sim.timeout(scenario.kill_at_s)
+    cluster, store = deployment.cluster, deployment.store
     if scenario.kill_node is not None:
-        node = run.cluster.node(scenario.kill_node)
+        node = cluster.node(scenario.kill_node)
     else:
         node = None
-        for index in reversed(run.store.members()):
-            candidate = run.cluster.servers[index]
+        for index in reversed(store.members()):
+            candidate = cluster.servers[index]
             if candidate.up and not candidate.retired:
                 node = candidate
                 break
         if node is None:
             return
     node.fail()
-    run.store.on_node_down(node)
+    store.on_node_down(node)
 
 
 def run_control_scenario(scenario: ControlScenario) -> ControlRunResult:
     """Execute one scenario end to end on simulated time."""
-    from repro.overload.openloop import _OpenLoopRun
+    from repro.overload.openloop import OpenLoopRun
+    from repro.ycsb.deployment import Deployment
 
-    run = _OpenLoopRun(scenario.config, scenario.offered_rate,
-                       scenario.duration_s, 0.0, scenario.slo_s,
-                       queue_sample_s=0.02, shape=scenario.shape,
-                       timeline_s=scenario.timeline_s)
+    driver = OpenLoopRun(scenario.offered_rate, scenario.duration_s, 0.0,
+                         scenario.slo_s, queue_sample_s=0.02,
+                         shape=scenario.shape,
+                         timeline_s=scenario.timeline_s)
+    deployment = Deployment(scenario.config)
     policy = scenario.policy
-    controller = None
-    sampler = None
-    registry = None
+    controller = sampler = registry = None
     if policy is not None:
-        from repro.metrics.instrument import instrument_cluster
-        from repro.metrics.registry import MetricsRegistry
-        from repro.metrics.sampler import MetricsSampler
-
-        registry = MetricsRegistry(run.sim)
-        instrument_cluster(registry, run.cluster)
-        run.store.attach_metrics(registry)
+        registry, sampler = deployment.attach_metrics(policy.tick_s)
         # The sampler must start before the controller: at a shared
         # timestamp the earlier process runs first, so every tick reads
         # the window the sampler just closed.
-        sampler = MetricsSampler(registry, interval_s=policy.tick_s)
         sampler.start()
-    topology = ClusterTopology(run.cluster, run.store, registry)
+    topology = ClusterTopology(deployment.cluster, deployment.store,
+                               registry)
     if policy is not None:
         controller = Controller(topology, sampler.series, policy)
         controller.start()
     if scenario.kill_at_s is not None:
-        run.sim.process(_kill_process(run, scenario), name="chaos-kill")
+        deployment.sim.process(_kill_process(deployment, scenario),
+                               name="chaos-kill")
 
-    point = run.run()
+    point = driver.run(deployment)
     if sampler is not None:
         sampler.close()
     if controller is not None:
@@ -172,15 +168,15 @@ def run_control_scenario(scenario: ControlScenario) -> ControlRunResult:
     # Bill node-seconds over the offered-load horizon only: the drain
     # tail after the last arrival differs between arms and is not load
     # the operator provisioned for.
-    horizon = min(run.sim.now, scenario.duration_s)
+    horizon = min(deployment.sim.now, scenario.duration_s)
     return ControlRunResult(
         scenario=scenario,
         point=point.to_dict(),
-        timeline=run.timeline(),
+        timeline=driver.timeline(),
         decisions=(controller.decision_log() if controller is not None
                    else []),
         node_seconds=topology.node_seconds(until=horizon),
-        n_active_end=run.cluster.n_active,
+        n_active_end=deployment.cluster.n_active,
         bytes_moved=topology.bytes_moved,
         moves_billed=topology.moves_billed,
         ticks=(controller.ticks if controller is not None else 0),

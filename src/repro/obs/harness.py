@@ -191,26 +191,21 @@ def run_obs_scenario(scenario: ObsScenario) -> ObsReport:
     """Execute one observed incident scenario end to end."""
     from repro.analysis.prometheus import registry_to_prometheus
     from repro.analysis.trace_export import chrome_trace
-    from repro.metrics.instrument import instrument_cluster
-    from repro.metrics.registry import MetricsRegistry
-    from repro.metrics.sampler import MetricsSampler
-    from repro.overload.openloop import _OpenLoopRun
+    from repro.overload.openloop import OpenLoopRun
+    from repro.ycsb.deployment import Deployment
 
-    run = _OpenLoopRun(scenario.config, scenario.offered_rate,
-                       scenario.duration_s, scenario.warmup_s,
-                       scenario.resolved_slo_s(), queue_sample_s=0.02,
-                       shape=scenario.shape,
-                       timeline_s=scenario.timeline_s)
-    registry = MetricsRegistry(run.sim)
-    instrument_cluster(registry, run.cluster)
-    run.store.attach_metrics(registry)
-    sampler = MetricsSampler(registry, interval_s=scenario.policy.tick_s)
+    driver = OpenLoopRun(scenario.offered_rate, scenario.duration_s,
+                         scenario.warmup_s, scenario.resolved_slo_s(),
+                         queue_sample_s=0.02, shape=scenario.shape,
+                         timeline_s=scenario.timeline_s)
+    deployment = Deployment(scenario.config)
+    registry, sampler = deployment.attach_metrics(scenario.policy.tick_s)
     sampler.start()
-    obs = ObsLayer(run.sim, scenario.policy, registry=registry)
-    run.attach_obs(obs)
+    obs = ObsLayer(deployment.sim, scenario.policy, registry=registry)
+    deployment.attach_obs(obs)
     obs.start()
     try:
-        point = run.run()
+        point = driver.run(deployment, obs=obs)
     except Exception as exc:
         # The postmortem artefact survives even a crashed simulation.
         obs.note_failure(exc)
@@ -222,7 +217,7 @@ def run_obs_scenario(scenario: ObsScenario) -> ObsReport:
     return ObsReport(
         scenario=scenario,
         point=point.to_dict(),
-        timeline=(run.timeline() if scenario.timeline_s is not None
+        timeline=(driver.timeline() if scenario.timeline_s is not None
                   else []),
         observability=obs.to_payload(),
         traces=chrome_trace(kept),

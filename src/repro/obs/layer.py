@@ -4,7 +4,7 @@ sampling and the flight recorder into a running benchmark.
 :class:`ObsLayer` is what a harness attaches to a run.  Per measured
 operation it receives one :meth:`note_op` call (from the closed-loop
 :class:`~repro.ycsb.client.ClientThread` or the open-loop
-:class:`~repro.overload.openloop._OpenLoopRun`) and fans the outcome
+:class:`~repro.overload.openloop.OpenLoopRun`) and fans the outcome
 out: SLO classification, per-op latency histograms (when a metrics
 registry is attached), exemplar retention for *kept* traces, and
 flight-recorder entries for errors and slow operations.  Because only

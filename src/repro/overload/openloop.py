@@ -28,20 +28,20 @@ fixed configuration yields byte-identical sweep payloads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Optional
 
 from repro.overload.shapes import ArrivalShape
-from repro.stores.base import OpType
-from repro.ycsb.client import attempt_op
-from repro.ycsb.generator import (KeySequence, generate_record,
-                                  generate_records, make_chooser)
-from repro.ycsb.runner import (PAPER_RECORDS_PER_NODE, BenchmarkConfig,
-                               _build_store, run_benchmark, scaled_spec)
+from repro.sim.rng import RngRegistry
+from repro.ycsb.client import attempt_op, draw_operation
+from repro.ycsb.deployment import Deployment
+from repro.ycsb.generator import KeySequence, make_chooser
+from repro.ycsb.runner import BenchmarkConfig, run_benchmark
 from repro.ycsb.stats import ERROR_KINDS
 
-__all__ = ["OverloadPoint", "OverloadSweep", "SaturationEstimate",
-           "find_saturation", "goodput_sweep", "run_overload_point",
-           "_OpenLoopRun"]
+__all__ = ["OpenLoopRun", "OverloadPoint", "OverloadSweep",
+           "SaturationEstimate", "find_saturation", "goodput_sweep",
+           "run_overload_point"]
 
 #: Default SLO when the configuration carries no deadline: the paper's
 #: latency figures put healthy operations well under this bound.
@@ -144,21 +144,29 @@ class OverloadSweep:
         }
 
 
-class _OpenLoopRun:
-    """State of one open-loop drive: cluster, sessions, counters."""
+class OpenLoopRun:
+    """Open-loop driver: scheduled arrivals against a deployment.
 
-    def __init__(self, config: BenchmarkConfig, offered_rate: float,
-                 duration_s: float, warmup_s: float, slo_s: float,
-                 queue_sample_s: float,
+    Construction checks the drive's parameters, so a bad value fails
+    before any deployment is built.  :meth:`run` then drives one
+    :class:`~repro.ycsb.deployment.Deployment`: it starts the chaos
+    controller, the queue monitor and the arrival process, in that
+    order, after whatever the caller started first (a metrics sampler,
+    an observability layer, a controller).  One instance drives one
+    deployment.
+    """
+
+    def __init__(self, offered_rate: float, duration_s: float,
+                 warmup_s: float, slo_s: float, queue_sample_s: float,
                  shape: Optional[ArrivalShape] = None,
                  timeline_s: Optional[float] = None):
-        from repro.sim.rng import RngRegistry
-        from repro.stores.registry import store_class
-
-        if offered_rate <= 0:
-            raise ValueError(f"offered_rate must be positive, "
-                             f"got {offered_rate}")
-        self.config = config
+        for name, value in (("offered_rate", offered_rate),
+                            ("duration_s", duration_s),
+                            ("queue_sample_s", queue_sample_s)):
+            if value <= 0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if warmup_s < 0:
+            raise ValueError(f"warmup_s must be >= 0, got {warmup_s}")
         self.offered_rate = offered_rate
         self.duration_s = duration_s
         self.warmup_s = warmup_s
@@ -169,69 +177,6 @@ class _OpenLoopRun:
         # Per-timeline-window tallies, keyed by int(arrival / timeline_s).
         self._tl_arrivals: dict = {}
         self._tl_in_slo: dict = {}
-
-        from repro.sim.cluster import Cluster
-        from repro.storage.record import APM_SCHEMA
-
-        cls = store_class(config.store)
-        if config.workload.has_scans and not cls.supports_scans:
-            raise ValueError(f"{config.store} does not support scans")
-        spec = scaled_spec(config.cluster_spec, config.records_per_node,
-                           config.paper_records_per_node)
-        n_clients = cls.clients_for(config.n_nodes, spec.servers_per_client)
-        self.cluster = Cluster(spec, config.n_nodes, n_clients=n_clients)
-        self.schema = APM_SCHEMA
-        self.store = _build_store(config, self.cluster, self.schema)
-        if config.overload is not None:
-            self.store.configure_overload(config.overload)
-        total_records = config.records_per_node * config.n_nodes
-        self.store.load(generate_records(total_records, self.schema))
-        self.store.warm_caches()
-
-        self.sim = self.cluster.sim
-        self.sequence = KeySequence(total_records)
-        rngs = RngRegistry(config.seed)
-        self._op_rng = rngs.stream("openloop-ops")
-        self.chooser = make_chooser(config.workload.distribution,
-                                    total_records, self.sequence,
-                                    rngs.stream("openloop-keys"))
-        n_connections = self.store.connections(spec.connections_per_node)
-        self.sessions = [
-            self.store.session(self.cluster.client_for_connection(i), i)
-            for i in range(n_connections)
-        ]
-        self.retry = (config.retry if config.retry is not None
-                      else self.store.retry_policy())
-        policy = config.overload
-        self.deadline_s = None if policy is None else policy.deadline_s
-        self.budget = self.breaker = None
-        if policy is not None and policy.retry_budget_per_s is not None:
-            from repro.overload.budget import RetryBudget
-
-            self.budget = RetryBudget(policy.retry_budget_per_s,
-                                      policy.retry_budget_burst)
-        if policy is not None and policy.circuit_breaker:
-            from repro.overload.budget import CircuitBreaker
-
-            self.breaker = CircuitBreaker()
-        # Chaos: the config's fault schedule plays out during the drive,
-        # exactly as in the closed-loop runner (new harnesses only; the
-        # constant-rate exports all use fault-free configs).
-        self.chaos = None
-        if (config.fault_schedule is not None
-                and len(config.fault_schedule)):
-            from repro.faults.chaos import ChaosController
-
-            self.chaos = ChaosController(self.cluster,
-                                         config.fault_schedule)
-            self.chaos.subscribe(self.store)
-            if self.breaker is not None:
-                self.chaos.subscribe(self.breaker)
-        #: Optional :class:`~repro.obs.layer.ObsLayer` — see
-        #: :meth:`attach_obs`.
-        self.obs = None
-
-        self._op_table = config.workload.op_table()
         # Window accounting (arrival-indexed).
         self.window_arrivals = 0
         self.in_slo = 0
@@ -242,17 +187,11 @@ class _OpenLoopRun:
         self.max_queue_depth = 0
         self._draining = False
 
-    def attach_obs(self, obs) -> None:
-        """Attach an observability layer; wires chaos into its recorder."""
-        self.obs = obs
-        if self.chaos is not None:
-            obs.attach_chaos(self.chaos)
-
     # -- processes -----------------------------------------------------------
 
     def _queue_depth(self) -> int:
-        depth = self.store.overload_queue_depth()
-        for node in self.cluster.servers:
+        depth = self.deployment.store.overload_queue_depth()
+        for node in self.deployment.cluster.servers:
             depth += node.cpus.queue_length
         return int(depth)
 
@@ -263,33 +202,10 @@ class _OpenLoopRun:
                 self.max_queue_depth = depth
             yield self.sim.timeout(self.queue_sample_s)
 
-    def _draw(self):
-        """Draw one operation and its arguments, in arrival order."""
-        roll = self._op_rng.random()
-        op = self._op_table[-1][0]
-        for candidate, threshold in self._op_table:
-            if roll <= threshold:
-                op = candidate
-                break
-        fields = None
-        scan_length = 0
-        if op is OpType.INSERT:
-            record = generate_record(self.sequence.take(), self.schema)
-            key, fields = record.key, record.fields
-        elif op is OpType.UPDATE:
-            record = generate_record(self.chooser.next_record_number(),
-                                     self.schema)
-            key, fields = record.key, record.fields
-        else:
-            key = generate_record(self.chooser.next_record_number(),
-                                  self.schema).key
-            if op is OpType.SCAN:
-                scan_length = self.config.workload.scan_length
-        return op, key, fields, scan_length
-
     def _one_op(self, index: int, measured: bool, op, key, fields,
                 scan_length):
         sim = self.sim
+        deployment = self.deployment
         session = self.sessions[index % len(self.sessions)]
         arrival = sim.now
         obs = self.obs
@@ -298,17 +214,13 @@ class _OpenLoopRun:
                 and obs.tracer.should_sample()):
             trace = obs.tracer.begin(op.value, key,
                                      index % len(self.sessions))
-        if self.deadline_s is not None:
-            sim.deadline = arrival + self.deadline_s
-        try:
-            error, kind = yield from attempt_op(
-                session, op, key, fields, scan_length, self.retry,
-                deadline=(None if self.deadline_s is None
-                          else arrival + self.deadline_s),
-                budget=self.budget, breaker=self.breaker,
-            )
-        finally:
-            sim.deadline = None
+        kind, __ = yield from attempt_op(
+            session, op, key, fields, scan_length, deployment.retry,
+            deadline=(None if deployment.deadline_s is None
+                      else arrival + deployment.deadline_s),
+            budget=deployment.budget, breaker=deployment.breaker,
+        )
+        error = kind is not None
         if trace is not None:
             obs.tracer.complete(trace, error, kind)
         if not measured:
@@ -323,7 +235,7 @@ class _OpenLoopRun:
         if bucket is not None:
             self._tl_arrivals[bucket] = self._tl_arrivals.get(bucket, 0) + 1
         if error:
-            self.error_kinds[kind or "store"] += 1
+            self.error_kinds[kind] += 1
         else:
             self.succeeded += 1
             if latency <= self.slo_s:
@@ -333,48 +245,33 @@ class _OpenLoopRun:
                         self._tl_in_slo.get(bucket, 0) + 1)
 
     def _arrivals(self):
-        interval = 1.0 / self.offered_rate
-        total = int(round((self.warmup_s + self.duration_s)
-                          * self.offered_rate))
-        window_start = self.warmup_s
-        procs = []
-        for i in range(total):
-            arrival = self.sim.now
-            measured = arrival >= window_start
-            if measured:
-                self.window_arrivals += 1
-            op, key, fields, scan_length = self._draw()
-            procs.append(self.sim.process(
-                self._one_op(i, measured, op, key, fields, scan_length),
-                name=f"open-op-{i}"))
-            yield self.sim.timeout(interval)
-        # Let every in-flight operation drain before the run ends.
-        yield self.sim.all_of(procs)
-        self._draining = True
+        """Process: one operation process per arrival, then drain.
 
-    def _shaped_arrivals(self):
-        """Arrivals spaced by the shape's instantaneous rate.
-
-        A separate driver so the constant-rate path above stays
-        byte-identical for every existing export.
+        A constant rate issues exactly ``round(horizon * rate)`` arrivals
+        spaced ``1 / rate`` apart; a shape spaces them by its
+        instantaneous rate until the horizon.
         """
+        sim = self.sim
         end = self.warmup_s + self.duration_s
-        window_start = self.warmup_s
+        total = (int(round(end * self.offered_rate)) if self.shape is None
+                 else None)
         procs = []
-        i = 0
-        while self.sim.now < end:
-            arrival = self.sim.now
-            measured = arrival >= window_start
+        while (len(procs) < total if total is not None
+               else sim.now < end):
+            i = len(procs)
+            arrival = sim.now
+            measured = arrival >= self.warmup_s
             if measured:
                 self.window_arrivals += 1
             op, key, fields, scan_length = self._draw()
-            procs.append(self.sim.process(
+            procs.append(sim.process(
                 self._one_op(i, measured, op, key, fields, scan_length),
                 name=f"open-op-{i}"))
-            i += 1
-            rate = self.shape.rate_at(arrival, self.offered_rate)
-            yield self.sim.timeout(1.0 / max(rate, 1e-9))
-        yield self.sim.all_of(procs)
+            rate = (self.offered_rate if self.shape is None else
+                    max(self.shape.rate_at(arrival, self.offered_rate), 1e-9))
+            yield sim.timeout(1.0 / rate)
+        # Let every in-flight operation drain before the run ends.
+        yield sim.all_of(procs)
         self._draining = True
 
     def timeline(self) -> list:
@@ -396,15 +293,35 @@ class _OpenLoopRun:
             for bucket in buckets
         ]
 
-    def run(self) -> OverloadPoint:
-        if self.chaos is not None:
-            self.chaos.start()
-        self.sim.process(self._monitor(), name="queue-monitor")
-        arrivals = (self._arrivals() if self.shape is None
-                    else self._shaped_arrivals())
-        driver = self.sim.process(arrivals, name="open-arrivals")
-        self.sim.run(until=driver)
-        config = self.config
+    def run(self, deployment: Deployment, obs=None) -> OverloadPoint:
+        """Drive ``deployment`` to completion; ``obs`` sees every op.
+
+        ``obs`` is an :class:`~repro.obs.layer.ObsLayer` the caller has
+        already wired through :meth:`Deployment.attach_obs`.
+        """
+        config = deployment.config
+        self.deployment = deployment
+        self.obs = obs
+        self.sim = sim = deployment.sim
+        sequence = KeySequence(deployment.total_records)
+        rngs = RngRegistry(config.seed)
+        op_rng = rngs.stream("openloop-ops")
+        chooser = make_chooser(config.workload.distribution,
+                               deployment.total_records, sequence,
+                               rngs.stream("openloop-keys"))
+        # One draw per arrival, in arrival order.
+        self._draw = partial(draw_operation, op_rng,
+                             config.workload.op_table(), config.workload,
+                             sequence, chooser, deployment.schema)
+        self.sessions = [
+            deployment.store.session(
+                deployment.cluster.client_for_connection(i), i)
+            for i in range(deployment.n_connections)
+        ]
+        if deployment.chaos is not None:
+            deployment.chaos.start()
+        sim.process(self._monitor(), name="queue-monitor")
+        sim.run(until=sim.process(self._arrivals(), name="open-arrivals"))
         mean_latency = (self.latency_total / self.latency_count
                         if self.latency_count else 0.0)
         return OverloadPoint(
@@ -422,7 +339,7 @@ class _OpenLoopRun:
             goodput=self.in_slo / self.duration_s,
             mean_latency_s=mean_latency,
             max_queue_depth=self.max_queue_depth,
-            shed=self.store.total_shed(),
+            shed=deployment.store.total_shed(),
             shape=None if self.shape is None else self.shape.to_dict(),
         )
 
@@ -451,9 +368,9 @@ def run_overload_point(config: BenchmarkConfig, offered_rate: float, *,
                  if config.overload is not None
                  and config.overload.deadline_s is not None
                  else DEFAULT_SLO_S)
-    run = _OpenLoopRun(config, offered_rate, duration_s, warmup_s, slo_s,
-                       queue_sample_s, shape=shape)
-    return run.run()
+    driver = OpenLoopRun(offered_rate, duration_s, warmup_s, slo_s,
+                         queue_sample_s, shape=shape)
+    return driver.run(Deployment(config))
 
 
 def _refine_capacity(config: BenchmarkConfig, start_rate: float, *,

@@ -11,7 +11,10 @@ paper built on:
 * :mod:`repro.ycsb.stats` — latency histograms and run summaries.
 * :mod:`repro.ycsb.throttle` — target-throughput limiting for the
   bounded-load experiments (Figures 15/16).
-* :mod:`repro.ycsb.client` — closed-loop client threads.
+* :mod:`repro.ycsb.client` — closed-loop client threads and the one
+  retry loop every driver issues operations through.
+* :mod:`repro.ycsb.deployment` — one provisioned, loaded store
+  deployment, shared by the closed-loop and open-loop drivers.
 * :mod:`repro.ycsb.runner` — end-to-end benchmark execution on a
   simulated cluster: provision, load, run, measure.
 """

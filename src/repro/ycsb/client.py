@@ -27,7 +27,7 @@ from repro.ycsb.stats import RunStats
 from repro.ycsb.throttle import Throttle
 from repro.ycsb.workload import Workload
 
-__all__ = ["RunControl", "ClientThread", "attempt_op"]
+__all__ = ["RunControl", "ClientThread", "attempt_op", "draw_operation"]
 
 
 def attempt_op(session: StoreSession, op: OpType, key: str, fields,
@@ -35,8 +35,10 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
                deadline: Optional[float] = None, budget=None, breaker=None):
     """Process body: execute one operation under the full retry policy.
 
-    Returns ``(error, kind)`` where ``kind`` classifies a failure (see
-    :data:`repro.ycsb.stats.ERROR_KINDS`):
+    Returns ``(kind, result)``.  ``kind`` is ``None`` on success, with
+    ``result`` the operation's return value (a read's fields); on
+    failure ``result`` is ``None`` and ``kind`` classifies the error
+    (see :data:`repro.ycsb.stats.ERROR_KINDS`):
 
     * :class:`OpError` / a ``False`` result → ``"store"``, never retried;
     * :class:`DeadlineExceededError` → ``"deadline"``, never retried
@@ -47,39 +49,78 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
       circuit breaker allows the target node, and the retry budget has a
       token — each gate failing surfaces the triggering error's kind.
 
-    Shared by the closed-loop :class:`ClientThread` and the open-loop
-    overload runner so both report identical semantics.
+    ``deadline`` (absolute simulated time) is also stamped into the
+    kernel's per-process ``sim.deadline`` slot for the whole call, so
+    every layer below can abandon the operation's late work.
+
+    The one retry loop of the package: the closed-loop
+    :class:`ClientThread`, the open-loop driver and the audit harness
+    all issue their operations through it.
     """
     sim = session.store.sim
+    sim.deadline = deadline
     attempt = 1
-    while True:
-        try:
-            result = yield from session.execute(
-                op, key, fields=fields, scan_length=scan_length
-            )
-            if result is False:
-                return True, "store"
-            return False, None
-        except OpError:
-            # Semantic failure (e.g. Redis OOM): retrying cannot help.
-            return True, "store"
-        except DeadlineExceededError:
-            return True, "deadline"
-        except FaultError as exc:
-            kind = "overload" if isinstance(exc, OverloadError) else "fault"
-            if attempt >= retry.max_attempts:
-                return True, kind
-            if deadline is not None and sim.now >= deadline:
-                return True, "deadline"
-            if breaker is not None and not breaker.allow_retry(exc):
-                return True, kind
-            if budget is not None and not budget.try_spend(sim.now):
-                return True, kind
-            # The driver reconnects with backoff, inside the timed call.
-            backoff = retry.backoff_for(attempt)
-            attempt += 1
-            if backoff > 0:
-                yield sim.timeout(backoff)
+    try:
+        while True:
+            try:
+                result = yield from session.execute(
+                    op, key, fields=fields, scan_length=scan_length
+                )
+                if result is False:
+                    return "store", None
+                return None, result
+            except OpError:
+                # Semantic failure (e.g. Redis OOM): retrying cannot help.
+                return "store", None
+            except DeadlineExceededError:
+                return "deadline", None
+            except FaultError as exc:
+                kind = ("overload" if isinstance(exc, OverloadError)
+                        else "fault")
+                if attempt >= retry.max_attempts:
+                    return kind, None
+                if deadline is not None and sim.now >= deadline:
+                    return "deadline", None
+                if breaker is not None and not breaker.allow_retry(exc):
+                    return kind, None
+                if budget is not None and not budget.try_spend(sim.now):
+                    return kind, None
+                # The driver reconnects with backoff, inside the timed call.
+                backoff = retry.backoff_for(attempt)
+                attempt += 1
+                if backoff > 0:
+                    yield sim.timeout(backoff)
+    finally:
+        sim.deadline = None
+
+
+def draw_operation(rng: random.Random, op_table, workload: Workload,
+                   sequence: KeySequence, chooser, schema: RecordSchema):
+    """Draw the next operation and its arguments from the workload mix.
+
+    Returns ``(op, key, fields, scan_length)``.  Arguments are drawn
+    once, before any attempt: a retry re-issues the *same* operation,
+    it does not burn a fresh key from the generator streams.
+    """
+    roll = rng.random()
+    op = op_table[-1][0]
+    for candidate, threshold in op_table:
+        if roll <= threshold:
+            op = candidate
+            break
+    fields = None
+    scan_length = 0
+    if op is OpType.INSERT:
+        record = generate_record(sequence.take(), schema)
+        key, fields = record.key, record.fields
+    elif op is OpType.UPDATE:
+        record = generate_record(chooser.next_record_number(), schema)
+        key, fields = record.key, record.fields
+    else:  # READ / SCAN / DELETE
+        key = generate_record(chooser.next_record_number(), schema).key
+        if op is OpType.SCAN:
+            scan_length = workload.scan_length
+    return op, key, fields, scan_length
 
 
 @dataclass
@@ -143,13 +184,6 @@ class ClientThread:
         self.audit = audit
         self._op_table = workload.op_table()
 
-    def _draw_op(self) -> OpType:
-        roll = self.rng.random()
-        for op, threshold in self._op_table:
-            if roll <= threshold:
-                return op
-        return self._op_table[-1][0]
-
     def run(self):
         """Process body: issue operations until the run is complete."""
         sim = self.session.store.sim
@@ -158,25 +192,9 @@ class ClientThread:
                 yield from self.throttle.acquire()
                 if self.control.done:
                     break
-            op = self._draw_op()
-            # Draw the operation's arguments once, before any attempt:
-            # a retry re-issues the *same* operation, it does not burn a
-            # fresh key from the generator streams.
-            fields = None
-            scan_length = 0
-            if op is OpType.INSERT:
-                record = generate_record(self.sequence.take(), self.schema)
-                key, fields = record.key, record.fields
-            elif op is OpType.UPDATE:
-                record = generate_record(
-                    self.chooser.next_record_number(), self.schema)
-                key, fields = record.key, record.fields
-            else:  # READ / SCAN / DELETE
-                key = generate_record(
-                    self.chooser.next_record_number(), self.schema
-                ).key
-                if op is OpType.SCAN:
-                    scan_length = self.workload.scan_length
+            op, key, fields, scan_length = draw_operation(
+                self.rng, self._op_table, self.workload, self.sequence,
+                self.chooser, self.schema)
             # Workload-loop and driver dispatch work happens before YCSB
             # starts the operation timer.
             yield from self.session.store.dispatch_cpu(self.session.client)
@@ -188,19 +206,13 @@ class ClientThread:
                     and not self.control.done
                     and self.tracer.should_sample()):
                 trace = self.tracer.begin(op.value, key, self.session.index)
-            deadline = None
-            if self.deadline_s is not None:
-                deadline = started + self.deadline_s
-                sim.deadline = deadline
-            try:
-                error, kind = yield from attempt_op(
-                    self.session, op, key, fields, scan_length, self.retry,
-                    deadline=deadline, budget=self.budget,
-                    breaker=self.breaker,
-                )
-            finally:
-                if deadline is not None:
-                    sim.deadline = None
+            kind, __ = yield from attempt_op(
+                self.session, op, key, fields, scan_length, self.retry,
+                deadline=(None if self.deadline_s is None
+                          else started + self.deadline_s),
+                budget=self.budget, breaker=self.breaker,
+            )
+            error = kind is not None
             latency = sim.now - started
             if trace is not None:
                 self.tracer.complete(trace, error, kind)
@@ -216,7 +228,7 @@ class ClientThread:
                 # an audited run is op-for-op identical to a bare one.
                 self.audit.note_client_op(
                     session=self.session.index, op=op.value, key=key,
-                    t_invoke=started, t_ack=sim.now, ok=error is None,
-                    error=kind if error is not None else None,
+                    t_invoke=started, t_ack=sim.now, ok=not error,
+                    error=kind,
                 )
             self.control.note_completion(self.stats, sim.now)

@@ -20,23 +20,20 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
 from repro.faults.availability import AvailabilityTimeline
-from repro.faults.chaos import ChaosController
 from repro.faults.schedule import FaultSchedule
-from repro.overload.budget import CircuitBreaker, RetryBudget
 from repro.overload.policy import OverloadPolicy
-from repro.sim.cluster import CLUSTER_M, Cluster, ClusterSpec, NodeSpec
+from repro.sim.cluster import CLUSTER_M, ClusterSpec, NodeSpec
 from repro.sim.disk import DiskSpec
 from repro.sim.network import NetworkSpec
-from repro.storage.record import APM_SCHEMA, RecordSchema
-from repro.stores.base import OpType, RetryPolicy, Store
-from repro.stores.registry import store_class
+from repro.stores.base import OpType, RetryPolicy
 from repro.trace import Tracer
 from repro.ycsb.client import ClientThread, RunControl
-from repro.ycsb.generator import KeySequence, generate_records, make_chooser
+from repro.ycsb.deployment import Deployment, scaled_spec
+from repro.ycsb.generator import KeySequence, make_chooser
 from repro.ycsb.stats import LatencyHistogram, RunStats
 from repro.ycsb.throttle import Throttle
 from repro.ycsb.workload import Workload
@@ -90,22 +87,6 @@ def _contains_opaque(value: Any) -> bool:
     return False
 
 
-def scaled_spec(spec: ClusterSpec, records_per_node: int,
-                paper_records_per_node: int) -> ClusterSpec:
-    """Shrink node RAM in proportion to the scaled-down data set.
-
-    The paper's regimes (Cluster M: data fits in memory; Cluster D: it
-    does not) depend on the ratio of data to RAM.  Scaling both together
-    preserves the regime while keeping the simulation tractable.
-    """
-    scale = records_per_node / paper_records_per_node
-    if scale >= 1.0:
-        return spec
-    node = replace(spec.node,
-                   ram_bytes=max(1 << 20, int(spec.node.ram_bytes * scale)))
-    return replace(spec, node=node)
-
-
 @dataclass(frozen=True)
 class BenchmarkConfig:
     """Everything that defines one benchmark data point."""
@@ -150,6 +131,10 @@ class BenchmarkConfig:
     sustained_tolerance: float = 0.25
 
     def __post_init__(self):
+        if not isinstance(self.seed, int) or isinstance(self.seed, bool):
+            raise ValueError(f"seed must be an int, got {self.seed!r}")
+        if self.warmup_ops < 0:
+            raise ValueError("warmup_ops must be >= 0")
         if self.n_nodes < 1:
             raise ValueError("n_nodes must be >= 1")
         if self.records_per_node < 1:
@@ -370,12 +355,6 @@ class BenchmarkResult:
         }
 
 
-def _build_store(config: BenchmarkConfig, cluster: Cluster,
-                 schema: RecordSchema) -> Store:
-    cls = store_class(config.store)
-    return cls(cluster, schema=schema, **config.store_kwargs)
-
-
 def run_benchmark(store: str, workload: Workload, n_nodes: int,
                   config: Optional[BenchmarkConfig] = None,
                   obs=None, audit=None, **overrides) -> BenchmarkResult:
@@ -400,28 +379,12 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
     if config is None:
         config = BenchmarkConfig(store=store, workload=workload,
                                  n_nodes=n_nodes, **overrides)
-    schema = APM_SCHEMA
+    workload = config.workload
+    deployment = Deployment(config)
+    cluster, deployed = deployment.cluster, deployment.store
+    sim = deployment.sim
 
-    cls = store_class(config.store)
-    if workload.has_scans and not cls.supports_scans:
-        raise ValueError(
-            f"{config.store} does not support scans (workload "
-            f"{workload.name}); the paper omits it from scan workloads"
-        )
-
-    spec = scaled_spec(config.cluster_spec, config.records_per_node,
-                       config.paper_records_per_node)
-    n_clients = cls.clients_for(config.n_nodes, spec.servers_per_client)
-    cluster = Cluster(spec, config.n_nodes, n_clients=n_clients)
-    deployed = _build_store(config, cluster, schema)
-    if config.overload is not None:
-        deployed.configure_overload(config.overload)
-
-    total_records = config.records_per_node * config.n_nodes
-    deployed.load(generate_records(total_records, schema))
-    deployed.warm_caches()
-
-    sequence = KeySequence(total_records)
+    sequence = KeySequence(deployment.total_records)
     stats = RunStats()
     if (config.fault_schedule is not None or config.duration_s is not None
             or config.metrics_interval_s is not None):
@@ -431,7 +394,7 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
             # sub-windows; the op timeline must resolve finer than those.
             window_s = min(window_s, config.metrics_interval_s)
         stats.timeline = AvailabilityTimeline(window_s)
-    n_connections = deployed.connections(spec.connections_per_node)
+    n_connections = deployment.n_connections
     if config.duration_s is not None:
         # Time-bounded run: the clock, not an op count, ends measurement.
         warmup_ops = config.warmup_ops
@@ -444,37 +407,21 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
         warmup_ops = max(config.warmup_ops, min_warmup)
         measured_ops = max(config.measured_ops, min_measured)
     control = RunControl(warmup_ops, measured_ops)
-    throttle = (Throttle(cluster.sim, config.target_throughput)
+    throttle = (Throttle(sim, config.target_throughput)
                 if config.target_throughput else None)
-    chaos = None
-    if config.fault_schedule is not None and len(config.fault_schedule):
-        chaos = ChaosController(cluster, config.fault_schedule)
-        chaos.subscribe(deployed)
+    # Process creation order breaks ties at equal simulated times, so
+    # the start order stays: chaos, sampler, observability, clients.
+    chaos = deployment.chaos
+    if chaos is not None:
         chaos.start()
-    deadline_s = budget = breaker = None
-    if config.overload is not None:
-        policy = config.overload
-        deadline_s = policy.deadline_s
-        if policy.retry_budget_per_s is not None:
-            budget = RetryBudget(policy.retry_budget_per_s,
-                                 policy.retry_budget_burst)
-        if policy.circuit_breaker:
-            breaker = CircuitBreaker()
-            if chaos is not None:
-                chaos.subscribe(breaker)
     tracer = None
     if obs is None and config.trace_sample_every is not None:
-        tracer = Tracer(cluster.sim,
-                        sample_every=config.trace_sample_every,
+        tracer = Tracer(sim, sample_every=config.trace_sample_every,
                         max_traces=config.trace_max_traces)
     registry = sampler = None
     if config.metrics_interval_s is not None:
-        from repro.metrics import (MetricsRegistry, MetricsSampler,
-                                   instrument_cluster)
-        registry = MetricsRegistry(cluster.sim)
-        instrument_cluster(registry, cluster)
-        deployed.attach_metrics(registry)
-        sampler = MetricsSampler(registry, config.metrics_interval_s)
+        registry, sampler = deployment.attach_metrics(
+            config.metrics_interval_s)
         sampler.start()
     obs_layer = None
     if obs is not None:
@@ -482,40 +429,39 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
         # Tail sampling replaces head sampling: the keep/drop decision
         # moves to span-tree completion, with ``trace_sample_every``
         # (when set) gating which operations are candidates at all.
-        obs_layer = ObsLayer(cluster.sim, obs, registry=registry,
+        obs_layer = ObsLayer(sim, obs, registry=registry,
                              candidate_every=config.trace_sample_every)
         tracer = obs_layer.tracer
-        if chaos is not None:
-            obs_layer.attach_chaos(chaos)
+        deployment.attach_obs(obs_layer)
         obs_layer.start()
     from repro.sim.rng import RngRegistry
     rngs = RngRegistry(config.seed)
     threads = []
     for i in range(n_connections):
-        client_node = cluster.client_for_connection(i)
-        session = deployed.session(client_node, i)
+        session = deployed.session(cluster.client_for_connection(i), i)
         rng = rngs.stream(f"thread-{i}")
-        chooser = make_chooser(workload.distribution, total_records,
-                               sequence, rng)
+        chooser = make_chooser(workload.distribution,
+                               deployment.total_records, sequence, rng)
         threads.append(ClientThread(
             session, workload, chooser, sequence, stats, control, rng,
-            schema, throttle, retry=config.retry, tracer=tracer,
-            deadline_s=deadline_s, budget=budget, breaker=breaker,
+            deployment.schema, throttle, retry=deployment.retry,
+            tracer=tracer, deadline_s=deployment.deadline_s,
+            budget=deployment.budget, breaker=deployment.breaker,
             obs=obs_layer, audit=audit,
         ))
-    processes = [cluster.sim.process(t.run(), name=f"client-{i}")
+    processes = [sim.process(t.run(), name=f"client-{i}")
                  for i, t in enumerate(threads)]
     if config.duration_s is not None:
-        cluster.sim.run(until=config.duration_s)
+        sim.run(until=config.duration_s)
         control.done = True
-        stats.finished_at = cluster.sim.now
+        stats.finished_at = sim.now
         # Let every thread finish its in-flight operation (not measured:
         # ``done`` is already set) so no process is left mid-IO.
-        cluster.sim.run(until=cluster.sim.all_of(processes))
+        sim.run(until=sim.all_of(processes))
     else:
-        cluster.sim.run(until=cluster.sim.all_of(processes))
+        sim.run(until=sim.all_of(processes))
         if stats.finished_at == 0.0:
-            stats.finished_at = cluster.sim.now
+            stats.finished_at = sim.now
 
     metrics = None
     if sampler is not None:

@@ -24,6 +24,10 @@ def test_audited_benchmark_matches_bare_run():
     assert audited.stats.operations == bare.stats.operations
     assert audited.throughput_ops == bare.throughput_ops
     assert audited.stats.errors == bare.stats.errors
+    # The hook records each op's real outcome: ok exactly when no error.
+    records = recorder.in_order()
+    errors = sum(1 for r in records if r.error is not None)
+    assert sum(1 for r in records if r.ok) == len(records) - errors > 0
 
 
 def test_audit_does_not_change_config_identity():

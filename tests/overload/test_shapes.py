@@ -7,7 +7,9 @@ import pytest
 from repro.overload import (DiurnalShape, FlashCrowdShape, OverloadPolicy,
                             StepShape, parse_shape, run_overload_point,
                             shape_from_dict)
+from repro.overload.openloop import OpenLoopRun
 from repro.overload.shapes import SHAPES
+from repro.ycsb.deployment import Deployment
 from repro.ycsb.runner import BenchmarkConfig
 from repro.ycsb.workload import WORKLOAD_R
 
@@ -103,21 +105,17 @@ class TestShapedOpenLoop:
         assert point.to_dict()["shape"] == shape.to_dict()
 
     def test_step_doubles_measured_arrivals(self):
-        from repro.overload.openloop import _OpenLoopRun
-
-        run = _OpenLoopRun(_config(), 200.0, 1.0, 0.0, 0.25, 0.02,
-                           shape=StepShape(at_s=0.5, factor=2.0),
-                           timeline_s=0.5)
-        run.run()
+        run = OpenLoopRun(200.0, 1.0, 0.0, 0.25, 0.02,
+                          shape=StepShape(at_s=0.5, factor=2.0),
+                          timeline_s=0.5)
+        run.run(Deployment(_config()))
         windows = run.timeline()
         assert len(windows) >= 2
         # ~100 arrivals in the first half-second, ~200 in the second.
         assert windows[1]["arrivals"] > 1.5 * windows[0]["arrivals"]
 
     def test_unshaped_run_has_no_timeline(self):
-        from repro.overload.openloop import _OpenLoopRun
-
-        run = _OpenLoopRun(_config(), 100.0, 0.2, 0.0, 0.25, 0.02)
-        run.run()
+        run = OpenLoopRun(100.0, 0.2, 0.0, 0.25, 0.02)
+        run.run(Deployment(_config()))
         with pytest.raises(ValueError):
             run.timeline()
