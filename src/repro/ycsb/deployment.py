@@ -79,10 +79,6 @@ class Deployment:
         policy = config.overload
         if policy is not None:
             self.store.configure_overload(policy)
-        self.total_records = config.records_per_node * config.n_nodes
-        self.store.load(generate_records(self.total_records, self.schema))
-        self.store.warm_caches()
-
         self.n_connections = self.store.connections(
             self.spec.connections_per_node)
         self.retry = (config.retry if config.retry is not None
@@ -101,6 +97,11 @@ class Deployment:
             self.chaos.subscribe(self.store)
             if self.breaker is not None:
                 self.chaos.subscribe(self.breaker)
+        # Load last: a schedule naming unknown nodes fails above, before
+        # the expensive part.
+        self.total_records = config.records_per_node * config.n_nodes
+        self.store.load(generate_records(self.total_records, self.schema))
+        self.store.warm_caches()
 
     def attach_metrics(self, interval_s: float):
         """Instrument cluster and store; return ``(registry, sampler)``.
