@@ -38,6 +38,8 @@ from repro.audit.harness import AuditScenario, run_audit_scenario
 from repro.analysis.trace_export import chrome_trace
 from repro.control import ControlPolicy, ControlScenario, run_control_scenario
 from repro.faults.schedule import FaultSchedule
+from repro.obs import ObsPolicy, ObsScenario, default_slos, \
+    run_obs_scenario
 from repro.orchestrator.serialize import histogram_to_dict
 from repro.overload import OverloadPolicy, parse_shape, run_overload_point
 from repro.sim.cluster import CLUSTER_M
@@ -168,6 +170,34 @@ def export_control_scenario() -> dict:
     }
 
 
+def export_obs_scenario() -> dict:
+    """An ``apmbench obs``-class incident: warm-up, flash crowd, crash.
+
+    The warm-up spans two empty timeline windows, so the export also
+    pins which windows the open-loop timeline lists.  The SLO is tighter
+    than the deadline, so some successes miss it; the slowed store sheds
+    and expires work during the flash crowd.
+    """
+    profile = ServiceProfile(read_cpu=2e-3, write_cpu=2e-3,
+                             client_cpu=1e-5, dispatch_cpu=0.0)
+    schedule = FaultSchedule().crash("server-0", at=0.9, restart_after=0.3)
+    config = BenchmarkConfig(
+        store="redis", workload=WORKLOADS["R"], n_nodes=1,
+        cluster_spec=SMALL_M, records_per_node=500, seed=13,
+        overload=OverloadPolicy(max_queue=16, deadline_s=0.05),
+        fault_schedule=schedule, store_kwargs={"profile": profile},
+    )
+    policy = ObsPolicy(slos=default_slos(latency_slo_s=0.02),
+                       window_s=0.25, tick_s=0.25)
+    scenario = ObsScenario(
+        config=config, policy=policy, offered_rate=400.0, duration_s=1.0,
+        warmup_s=0.6,
+        shape=parse_shape("flash:at=1.0,duration=0.3,multiplier=3"),
+        timeline_s=0.25, slo_s=0.02,
+    )
+    return run_obs_scenario(scenario).to_dict()
+
+
 def _store_workload(store: str):
     """A scan mix where the store has scans, else the scan-free one."""
     return WORKLOADS["RSW" if STORE_CLASSES[store].supports_scans else "RW"]
@@ -216,6 +246,7 @@ EXPORTS = {
     "figure_point": export_figure_point,
     "traced_point": export_traced_point,
     "control_scenario": export_control_scenario,
+    "obs_scenario": export_obs_scenario,
 }
 for _store in sorted(STORE_CLASSES):
     for _kind, _export in (("closed", export_closed_point),

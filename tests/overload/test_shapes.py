@@ -114,6 +114,16 @@ class TestShapedOpenLoop:
         # ~100 arrivals in the first half-second, ~200 in the second.
         assert windows[1]["arrivals"] > 1.5 * windows[0]["arrivals"]
 
+    def test_timeline_lists_only_windows_with_arrivals(self):
+        run = OpenLoopRun(200.0, 1.0, 0.6, 0.25, 0.02, timeline_s=0.25)
+        run.run(Deployment(_config()))
+        windows = run.timeline()
+        # Warm-up arrivals are not measured: the windows before the one
+        # holding t=0.6 stay out of the timeline.
+        assert windows[0]["t0"] == 0.5
+        assert all(window["arrivals"] >= 1 for window in windows)
+        assert sum(window["arrivals"] for window in windows) == 200
+
     def test_unshaped_run_has_no_timeline(self):
         run = OpenLoopRun(100.0, 0.2, 0.0, 0.25, 0.02)
         run.run(Deployment(_config()))
