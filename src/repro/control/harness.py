@@ -139,8 +139,7 @@ def run_control_scenario(scenario: ControlScenario) -> ControlRunResult:
     from repro.ycsb.deployment import Deployment
 
     driver = OpenLoopRun(scenario.offered_rate, scenario.duration_s, 0.0,
-                         scenario.slo_s, queue_sample_s=0.02,
-                         shape=scenario.shape,
+                         scenario.slo_s, shape=scenario.shape,
                          timeline_s=scenario.timeline_s)
     deployment = Deployment(scenario.config)
     policy = scenario.policy

@@ -51,14 +51,11 @@ class ObsScenario:
     max_export_traces: int = 100
 
     def resolved_slo_s(self) -> float:
-        from repro.overload.openloop import DEFAULT_SLO_S
+        from repro.overload.openloop import default_slo_s
 
         if self.slo_s is not None:
             return self.slo_s
-        overload = self.config.overload
-        if overload is not None and overload.deadline_s is not None:
-            return overload.deadline_s
-        return DEFAULT_SLO_S
+        return default_slo_s(self.config)
 
     def to_dict(self) -> dict:
         return {
@@ -196,7 +193,7 @@ def run_obs_scenario(scenario: ObsScenario) -> ObsReport:
 
     driver = OpenLoopRun(scenario.offered_rate, scenario.duration_s,
                          scenario.warmup_s, scenario.resolved_slo_s(),
-                         queue_sample_s=0.02, shape=scenario.shape,
+                         shape=scenario.shape,
                          timeline_s=scenario.timeline_s)
     deployment = Deployment(scenario.config)
     registry, sampler = deployment.attach_metrics(scenario.policy.tick_s)

@@ -31,21 +31,32 @@ from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
 
+from repro.metrics.timeseries import WindowedSeries
 from repro.overload.shapes import ArrivalShape
 from repro.sim.rng import RngRegistry
-from repro.ycsb.client import attempt_op, draw_operation
+from repro.ycsb.client import draw_operation
 from repro.ycsb.deployment import Deployment
 from repro.ycsb.generator import KeySequence, make_chooser
 from repro.ycsb.runner import BenchmarkConfig, run_benchmark
-from repro.ycsb.stats import ERROR_KINDS
+from repro.ycsb.stats import LatencyHistogram
 
 __all__ = ["OpenLoopRun", "OverloadPoint", "OverloadSweep",
-           "SaturationEstimate", "find_saturation", "goodput_sweep",
-           "run_overload_point"]
+           "SaturationEstimate", "default_slo_s", "find_saturation",
+           "goodput_sweep", "run_overload_point"]
 
 #: Default SLO when the configuration carries no deadline: the paper's
 #: latency figures put healthy operations well under this bound.
 DEFAULT_SLO_S = 0.25
+
+#: Simulated seconds between two samples of the queue monitor.
+QUEUE_SAMPLE_S = 0.02
+
+
+def default_slo_s(config: BenchmarkConfig) -> float:
+    """The goodput SLO for ``config``: its overload deadline, else
+    :data:`DEFAULT_SLO_S`."""
+    overload = config.overload
+    return (overload is not None and overload.deadline_s) or DEFAULT_SLO_S
 
 
 @dataclass(frozen=True)
@@ -153,16 +164,17 @@ class OpenLoopRun:
     controller, the queue monitor and the arrival process, in that
     order, after whatever the caller started first (a metrics sampler,
     an observability layer, a controller).  One instance drives one
-    deployment.
+    deployment.  Measured operations land in one
+    :class:`LatencyHistogram` and, with ``timeline_s``, in a
+    :class:`WindowedSeries` indexed by arrival time.
     """
 
     def __init__(self, offered_rate: float, duration_s: float,
-                 warmup_s: float, slo_s: float, queue_sample_s: float,
+                 warmup_s: float, slo_s: float,
                  shape: Optional[ArrivalShape] = None,
                  timeline_s: Optional[float] = None):
         for name, value in (("offered_rate", offered_rate),
-                            ("duration_s", duration_s),
-                            ("queue_sample_s", queue_sample_s)):
+                            ("duration_s", duration_s)):
             if value <= 0:
                 raise ValueError(f"{name} must be positive, got {value}")
         if warmup_s < 0:
@@ -171,19 +183,14 @@ class OpenLoopRun:
         self.duration_s = duration_s
         self.warmup_s = warmup_s
         self.slo_s = slo_s
-        self.queue_sample_s = queue_sample_s
         self.shape = shape
         self.timeline_s = timeline_s
-        # Per-timeline-window tallies, keyed by int(arrival / timeline_s).
-        self._tl_arrivals: dict = {}
-        self._tl_in_slo: dict = {}
-        # Window accounting (arrival-indexed).
-        self.window_arrivals = 0
+        self.latency = LatencyHistogram()
+        #: Measured successes within ``slo_s``.  Kept apart from
+        #: ``latency``: a bucketed histogram cannot answer "<= slo_s".
         self.in_slo = 0
-        self.succeeded = 0
-        self.error_kinds = {kind: 0 for kind in ERROR_KINDS}
-        self.latency_total = 0.0
-        self.latency_count = 0
+        self.series = (None if timeline_s is None
+                       else WindowedSeries(timeline_s))
         self.max_queue_depth = 0
         self._draining = False
 
@@ -200,12 +207,11 @@ class OpenLoopRun:
             depth = self._queue_depth()
             if depth > self.max_queue_depth:
                 self.max_queue_depth = depth
-            yield self.sim.timeout(self.queue_sample_s)
+            yield self.sim.timeout(QUEUE_SAMPLE_S)
 
     def _one_op(self, index: int, measured: bool, op, key, fields,
                 scan_length):
         sim = self.sim
-        deployment = self.deployment
         session = self.sessions[index % len(self.sessions)]
         arrival = sim.now
         obs = self.obs
@@ -214,12 +220,8 @@ class OpenLoopRun:
                 and obs.tracer.should_sample()):
             trace = obs.tracer.begin(op.value, key,
                                      index % len(self.sessions))
-        kind, __ = yield from attempt_op(
-            session, op, key, fields, scan_length, deployment.retry,
-            deadline=(None if deployment.deadline_s is None
-                      else arrival + deployment.deadline_s),
-            budget=deployment.budget, breaker=deployment.breaker,
-        )
+        kind, __ = yield from self.deployment.attempt(
+            session, op, key, fields, scan_length, arrival)
         error = kind is not None
         if trace is not None:
             obs.tracer.complete(trace, error, kind)
@@ -228,21 +230,14 @@ class OpenLoopRun:
         latency = sim.now - arrival
         if obs is not None:
             obs.note_op(op.value, latency, error, kind, trace)
-        self.latency_total += latency
-        self.latency_count += 1
-        bucket = (None if self.timeline_s is None
-                  else int(arrival / self.timeline_s))
-        if bucket is not None:
-            self._tl_arrivals[bucket] = self._tl_arrivals.get(bucket, 0) + 1
-        if error:
-            self.error_kinds[kind] += 1
-        else:
-            self.succeeded += 1
-            if latency <= self.slo_s:
-                self.in_slo += 1
-                if bucket is not None:
-                    self._tl_in_slo[bucket] = (
-                        self._tl_in_slo.get(bucket, 0) + 1)
+        self.latency.record(latency, error, kind)
+        series = self.series
+        if series is not None:
+            series.add(arrival, "arrivals")
+        if not error and latency <= self.slo_s:
+            self.in_slo += 1
+            if series is not None:
+                series.add(arrival, "in_slo")
 
     def _arrivals(self):
         """Process: one operation process per arrival, then drain.
@@ -260,12 +255,10 @@ class OpenLoopRun:
                else sim.now < end):
             i = len(procs)
             arrival = sim.now
-            measured = arrival >= self.warmup_s
-            if measured:
-                self.window_arrivals += 1
             op, key, fields, scan_length = self._draw()
             procs.append(sim.process(
-                self._one_op(i, measured, op, key, fields, scan_length),
+                self._one_op(i, arrival >= self.warmup_s, op, key, fields,
+                             scan_length),
                 name=f"open-op-{i}"))
             rate = (self.offered_rate if self.shape is None else
                     max(self.shape.rate_at(arrival, self.offered_rate), 1e-9))
@@ -277,20 +270,20 @@ class OpenLoopRun:
     def timeline(self) -> list:
         """Per-window arrival/in-SLO tallies (needs ``timeline_s``).
 
-        Windows are indexed by arrival time; the list is sorted and
-        JSON-ready, the availability evidence for recovery assertions.
+        Windows are indexed by arrival time and listed only when they
+        hold a measured arrival; the list is sorted and JSON-ready, the
+        availability evidence for recovery assertions.
         """
-        if self.timeline_s is None:
+        if self.series is None:
             raise ValueError("run was built without timeline_s")
-        buckets = sorted(self._tl_arrivals)
         return [
             {
-                "t0": bucket * self.timeline_s,
-                "t1": (bucket + 1) * self.timeline_s,
-                "arrivals": self._tl_arrivals[bucket],
-                "in_slo": self._tl_in_slo.get(bucket, 0),
+                "t0": window.start,
+                "t1": window.end,
+                "arrivals": int(window.get("arrivals")),
+                "in_slo": int(window.get("in_slo")),
             }
-            for bucket in buckets
+            for window in self.series.windows() if window.get("arrivals")
         ]
 
     def run(self, deployment: Deployment, obs=None) -> OverloadPoint:
@@ -322,8 +315,8 @@ class OpenLoopRun:
             deployment.chaos.start()
         sim.process(self._monitor(), name="queue-monitor")
         sim.run(until=sim.process(self._arrivals(), name="open-arrivals"))
-        mean_latency = (self.latency_total / self.latency_count
-                        if self.latency_count else 0.0)
+        # Every arrival drains, so ``latency`` counts each measured one.
+        latency = self.latency
         return OverloadPoint(
             store=config.store,
             workload=config.workload.name,
@@ -332,12 +325,12 @@ class OpenLoopRun:
             offered_rate=self.offered_rate,
             duration_s=self.duration_s,
             slo_s=self.slo_s,
-            arrivals=self.window_arrivals,
+            arrivals=latency.count,
             in_slo=self.in_slo,
-            succeeded=self.succeeded,
-            error_kinds={k: v for k, v in self.error_kinds.items() if v},
+            succeeded=latency.count - latency.errors,
+            error_kinds=dict(latency.error_kinds),
             goodput=self.in_slo / self.duration_s,
-            mean_latency_s=mean_latency,
+            mean_latency_s=latency.mean,
             max_queue_depth=self.max_queue_depth,
             shed=deployment.store.total_shed(),
             shape=None if self.shape is None else self.shape.to_dict(),
@@ -347,7 +340,6 @@ class OpenLoopRun:
 def run_overload_point(config: BenchmarkConfig, offered_rate: float, *,
                        duration_s: float = 3.0, warmup_s: float = 0.5,
                        slo_s: Optional[float] = None,
-                       queue_sample_s: float = 0.02,
                        shape: Optional[ArrivalShape] = None) -> OverloadPoint:
     """Drive ``config``'s store open-loop at ``offered_rate`` ops/s.
 
@@ -356,7 +348,8 @@ def run_overload_point(config: BenchmarkConfig, offered_rate: float, *,
     protections, when ``config.overload`` is set) whether or not earlier
     operations have finished — offered load does not yield to
     congestion, unlike the closed-loop harness.  Goodput counts
-    successes completing within ``slo_s`` among post-warmup arrivals.
+    successes completing within ``slo_s`` (default
+    :func:`default_slo_s`) among post-warmup arrivals.
 
     With ``shape`` (see :mod:`repro.overload.shapes`) the instantaneous
     rate is ``shape.rate_at(now, offered_rate)`` instead of constant —
@@ -364,12 +357,9 @@ def run_overload_point(config: BenchmarkConfig, offered_rate: float, *,
     studies.
     """
     if slo_s is None:
-        slo_s = (config.overload.deadline_s
-                 if config.overload is not None
-                 and config.overload.deadline_s is not None
-                 else DEFAULT_SLO_S)
+        slo_s = default_slo_s(config)
     driver = OpenLoopRun(offered_rate, duration_s, warmup_s, slo_s,
-                         queue_sample_s, shape=shape)
+                         shape=shape)
     return driver.run(Deployment(config))
 
 
@@ -463,6 +453,6 @@ def goodput_sweep(config: BenchmarkConfig, *,
             bare = replace(config, overload=None)
             sweep.unprotected.append(run_overload_point(
                 bare, rate, duration_s=duration_s, warmup_s=warmup_s,
-                slo_s=(config.overload.deadline_s or DEFAULT_SLO_S),
+                slo_s=default_slo_s(config),
                 shape=shape))
     return sweep

@@ -54,8 +54,9 @@ def attempt_op(session: StoreSession, op: OpType, key: str, fields,
     every layer below can abandon the operation's late work.
 
     The one retry loop of the package: the closed-loop
-    :class:`ClientThread`, the open-loop driver and the audit harness
-    all issue their operations through it.
+    :class:`ClientThread` and the open-loop driver reach it through
+    :meth:`repro.ycsb.deployment.Deployment.attempt`; the audit harness,
+    which has no deployment, calls it directly.
     """
     sim = session.store.sim
     sim.deadline = deadline
@@ -157,10 +158,8 @@ class ClientThread:
     def __init__(self, session: StoreSession, workload: Workload,
                  chooser, sequence: KeySequence, stats: RunStats,
                  control: RunControl, rng: random.Random,
-                 schema: RecordSchema, throttle: Throttle | None = None,
-                 retry: RetryPolicy | None = None, tracer=None,
-                 deadline_s: Optional[float] = None, budget=None,
-                 breaker=None, obs=None, audit=None):
+                 deployment, throttle: Throttle | None = None,
+                 tracer=None, obs=None, audit=None):
         self.session = session
         self.workload = workload
         self.chooser = chooser
@@ -168,16 +167,11 @@ class ClientThread:
         self.stats = stats
         self.control = control
         self.rng = rng
-        self.schema = schema
+        #: The :class:`~repro.ycsb.deployment.Deployment` whose client
+        #: policy every operation runs under.
+        self.deployment = deployment
         self.throttle = throttle
-        self.retry = retry if retry is not None else session.store.retry_policy()
         self.tracer = tracer
-        #: Per-operation deadline (seconds) stamped into the kernel slot.
-        self.deadline_s = deadline_s
-        #: Shared :class:`~repro.overload.budget.RetryBudget`, or ``None``.
-        self.budget = budget
-        #: Shared :class:`~repro.overload.budget.CircuitBreaker`, or ``None``.
-        self.breaker = breaker
         #: Shared :class:`~repro.obs.layer.ObsLayer`, or ``None``.
         self.obs = obs
         #: Shared :class:`~repro.audit.history.HistoryRecorder`, or ``None``.
@@ -194,7 +188,7 @@ class ClientThread:
                     break
             op, key, fields, scan_length = draw_operation(
                 self.rng, self._op_table, self.workload, self.sequence,
-                self.chooser, self.schema)
+                self.chooser, self.deployment.schema)
             # Workload-loop and driver dispatch work happens before YCSB
             # starts the operation timer.
             yield from self.session.store.dispatch_cpu(self.session.client)
@@ -206,12 +200,8 @@ class ClientThread:
                     and not self.control.done
                     and self.tracer.should_sample()):
                 trace = self.tracer.begin(op.value, key, self.session.index)
-            kind, __ = yield from attempt_op(
-                self.session, op, key, fields, scan_length, self.retry,
-                deadline=(None if self.deadline_s is None
-                          else started + self.deadline_s),
-                budget=self.budget, breaker=self.breaker,
-            )
+            kind, __ = yield from self.deployment.attempt(
+                self.session, op, key, fields, scan_length, started)
             error = kind is not None
             latency = sim.now - started
             if trace is not None:

@@ -5,7 +5,9 @@ provision a fresh cluster, install the store, load the data set, and
 give the clients their connection and retry settings.  A
 :class:`Deployment` is exactly that set-up, shared by the closed-loop
 driver (:func:`repro.ycsb.runner.run_benchmark`) and the open-loop
-driver (:class:`repro.overload.openloop.OpenLoopRun`).
+driver (:class:`repro.overload.openloop.OpenLoopRun`).  Both issue
+every operation through :meth:`Deployment.attempt`, the one place the
+client policy is applied.
 
 A deployment starts no simulation process.  Each driver decides when
 the chaos controller, the metrics sampler and its own client processes
@@ -23,6 +25,7 @@ from repro.overload.budget import CircuitBreaker, RetryBudget
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.storage.record import APM_SCHEMA
 from repro.stores.registry import store_class
+from repro.ycsb.client import attempt_op
 from repro.ycsb.generator import generate_records
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,6 +105,17 @@ class Deployment:
         self.total_records = config.records_per_node * config.n_nodes
         self.store.load(generate_records(self.total_records, self.schema))
         self.store.warm_caches()
+
+    def attempt(self, session, op, key: str, fields, scan_length: int,
+                started: float):
+        """:func:`~repro.ycsb.client.attempt_op` under this deployment's
+        retry policy, budget and breaker, due ``deadline_s`` after
+        ``started``; returns the process body."""
+        deadline_s = self.deadline_s
+        return attempt_op(
+            session, op, key, fields, scan_length, self.retry,
+            deadline=None if deadline_s is None else started + deadline_s,
+            budget=self.budget, breaker=self.breaker)
 
     def attach_metrics(self, interval_s: float):
         """Instrument cluster and store; return ``(registry, sampler)``.

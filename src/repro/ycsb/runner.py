@@ -444,10 +444,8 @@ def run_benchmark(store: str, workload: Workload, n_nodes: int,
                                deployment.total_records, sequence, rng)
         threads.append(ClientThread(
             session, workload, chooser, sequence, stats, control, rng,
-            deployment.schema, throttle, retry=deployment.retry,
-            tracer=tracer, deadline_s=deployment.deadline_s,
-            budget=deployment.budget, breaker=deployment.breaker,
-            obs=obs_layer, audit=audit,
+            deployment, throttle, tracer=tracer, obs=obs_layer,
+            audit=audit,
         ))
     processes = [sim.process(t.run(), name=f"client-{i}")
                  for i, t in enumerate(threads)]

@@ -105,7 +105,7 @@ class TestShapedOpenLoop:
         assert point.to_dict()["shape"] == shape.to_dict()
 
     def test_step_doubles_measured_arrivals(self):
-        run = OpenLoopRun(200.0, 1.0, 0.0, 0.25, 0.02,
+        run = OpenLoopRun(200.0, 1.0, 0.0, 0.25,
                           shape=StepShape(at_s=0.5, factor=2.0),
                           timeline_s=0.5)
         run.run(Deployment(_config()))
@@ -115,7 +115,7 @@ class TestShapedOpenLoop:
         assert windows[1]["arrivals"] > 1.5 * windows[0]["arrivals"]
 
     def test_timeline_lists_only_windows_with_arrivals(self):
-        run = OpenLoopRun(200.0, 1.0, 0.6, 0.25, 0.02, timeline_s=0.25)
+        run = OpenLoopRun(200.0, 1.0, 0.6, 0.25, timeline_s=0.25)
         run.run(Deployment(_config()))
         windows = run.timeline()
         # Warm-up arrivals are not measured: the windows before the one
@@ -125,7 +125,7 @@ class TestShapedOpenLoop:
         assert sum(window["arrivals"] for window in windows) == 200
 
     def test_unshaped_run_has_no_timeline(self):
-        run = OpenLoopRun(100.0, 0.2, 0.0, 0.25, 0.02)
+        run = OpenLoopRun(100.0, 0.2, 0.0, 0.25)
         run.run(Deployment(_config()))
         with pytest.raises(ValueError):
             run.timeline()

@@ -4,15 +4,13 @@ import random
 
 import pytest
 
-from repro.sim.cluster import CLUSTER_M, Cluster
 from repro.stores.base import OpType
-from repro.stores.registry import create_store
-from repro.storage.record import APM_SCHEMA
 from repro.ycsb.client import ClientThread, RunControl
+from repro.ycsb.deployment import Deployment
 from repro.ycsb.generator import KeySequence, UniformChooser
+from repro.ycsb.runner import BenchmarkConfig
 from repro.ycsb.stats import RunStats
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS
-from tests.stores.conftest import make_records
 
 
 class TestRunControl:
@@ -41,60 +39,59 @@ class TestRunControl:
         assert control.completed == 2
 
 
-def build_thread(store, workload, control, stats, seed=1):
-    session = store.session(store.cluster.clients[0], 0)
+def build_thread(deployment, workload, control, stats, seed=1):
+    session = deployment.store.session(deployment.cluster.clients[0], 0)
     rng = random.Random(seed)
     sequence = KeySequence(200)
     chooser = UniformChooser(200, rng)
     return ClientThread(session, workload, chooser, sequence, stats,
-                        control, rng, APM_SCHEMA)
+                        control, rng, deployment)
 
 
 class TestClientThread:
     @pytest.fixture
-    def store(self):
-        cluster = Cluster(CLUSTER_M, 2)
-        deployed = create_store("redis", cluster)
-        deployed.load(make_records(200))
-        return deployed
+    def deployment(self):
+        return Deployment(BenchmarkConfig(
+            store="redis", workload=WORKLOAD_R, n_nodes=2,
+            records_per_node=100))
 
-    def test_runs_until_control_done(self, store):
+    def test_runs_until_control_done(self, deployment):
         stats = RunStats()
         control = RunControl(warmup_ops=10, measured_ops=50)
-        thread = build_thread(store, WORKLOAD_R, control, stats)
-        store.sim.run(until=store.sim.process(thread.run()))
+        thread = build_thread(deployment, WORKLOAD_R, control, stats)
+        deployment.sim.run(until=deployment.sim.process(thread.run()))
         assert control.done
         assert stats.operations == 50
 
-    def test_op_mix_matches_workload(self, store):
+    def test_op_mix_matches_workload(self, deployment):
         stats = RunStats()
         control = RunControl(warmup_ops=0, measured_ops=400)
-        thread = build_thread(store, WORKLOAD_R, control, stats)
-        store.sim.run(until=store.sim.process(thread.run()))
+        thread = build_thread(deployment, WORKLOAD_R, control, stats)
+        deployment.sim.run(until=deployment.sim.process(thread.run()))
         reads = stats.histogram(OpType.READ).count
         inserts = stats.histogram(OpType.INSERT).count
         assert reads + inserts == 400
         assert 0.90 <= reads / 400 <= 0.99
 
-    def test_scan_workload_records_scan_latencies(self, store):
+    def test_scan_workload_records_scan_latencies(self, deployment):
         stats = RunStats()
         control = RunControl(warmup_ops=0, measured_ops=100)
-        thread = build_thread(store, WORKLOAD_RS, control, stats)
-        store.sim.run(until=store.sim.process(thread.run()))
+        thread = build_thread(deployment, WORKLOAD_RS, control, stats)
+        deployment.sim.run(until=deployment.sim.process(thread.run()))
         assert stats.histogram(OpType.SCAN).count > 20
 
-    def test_inserts_consume_shared_sequence(self, store):
+    def test_inserts_consume_shared_sequence(self, deployment):
         stats = RunStats()
         control = RunControl(warmup_ops=0, measured_ops=100)
-        thread = build_thread(store, WORKLOAD_RS, control, stats)
+        thread = build_thread(deployment, WORKLOAD_RS, control, stats)
         before = thread.sequence.next_value
-        store.sim.run(until=store.sim.process(thread.run()))
+        deployment.sim.run(until=deployment.sim.process(thread.run()))
         inserted = thread.sequence.next_value - before
         assert inserted == stats.histogram(OpType.INSERT).count
 
-    def test_latencies_are_positive(self, store):
+    def test_latencies_are_positive(self, deployment):
         stats = RunStats()
         control = RunControl(warmup_ops=0, measured_ops=50)
-        thread = build_thread(store, WORKLOAD_R, control, stats)
-        store.sim.run(until=store.sim.process(thread.run()))
+        thread = build_thread(deployment, WORKLOAD_R, control, stats)
+        deployment.sim.run(until=deployment.sim.process(thread.run()))
         assert stats.histogram(OpType.READ).min > 0

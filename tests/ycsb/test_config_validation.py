@@ -87,7 +87,6 @@ def test_invalid_config_fails_before_simulation(store, bad):
 
 @pytest.mark.parametrize("field,value", [
     ("duration_s", 0.0), ("duration_s", -1.0), ("warmup_s", -0.1),
-    ("queue_sample_s", 0.0),
 ])
 def test_open_loop_rejects_bad_drive_before_load(field, value):
     config = BenchmarkConfig(store="redis", workload=WORKLOADS["R"],
