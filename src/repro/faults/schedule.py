@@ -20,6 +20,7 @@ executes it against a live cluster.
 from __future__ import annotations
 
 import enum
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
@@ -74,8 +75,13 @@ class FaultAction:
     def __post_init__(self) -> None:
         # Constructed actions are validated here so a malformed fault
         # fails when the schedule is built, not minutes into a run.
-        if self.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {self.at}")
+        if not 0 <= self.at < math.inf:
+            raise ValueError(
+                f"fault time must be >= 0 and finite, got {self.at}")
+        for name in ("factor", "loss", "jitter_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)}")
         if self.kind in _NODE_SCOPED and not self.target:
             raise ValueError(f"{self.kind.value} needs a target node")
         if self.kind is FaultKind.SLOW_DISK and self.factor < 1.0:
@@ -120,6 +126,16 @@ class FaultAction:
         return f"{self.kind.value} {self.target}"
 
 
+def _check_offset(name: str, value: Optional[float]) -> None:
+    """Reject a non-positive or non-finite DSL offset (``None`` = unset).
+
+    Called before a DSL method adds anything, so a bad offset leaves the
+    schedule as it was.
+    """
+    if value is not None and not 0 < value < math.inf:
+        raise ValueError(f"{name} must be > 0 and finite, got {value}")
+
+
 @dataclass
 class FaultSchedule:
     """An ordered plan of fault actions over simulated time."""
@@ -127,8 +143,6 @@ class FaultSchedule:
     _actions: list[FaultAction] = field(default_factory=list)
 
     def _add(self, action: FaultAction) -> "FaultSchedule":
-        if action.at < 0:
-            raise ValueError(f"fault time must be >= 0, got {action.at}")
         self._actions.append(action)
         return self
 
@@ -137,10 +151,9 @@ class FaultSchedule:
     def crash(self, node: str, at: float,
               restart_after: Optional[float] = None) -> "FaultSchedule":
         """Crash ``node`` at time ``at``; optionally restart it later."""
+        _check_offset("restart_after", restart_after)
         self._add(FaultAction(at, FaultKind.CRASH, target=node))
         if restart_after is not None:
-            if restart_after <= 0:
-                raise ValueError("restart_after must be > 0")
             self._add(FaultAction(at + restart_after, FaultKind.RESTART,
                                   target=node))
         return self
@@ -155,23 +168,19 @@ class FaultSchedule:
         frozen = tuple(tuple(g) for g in groups)
         if len(frozen) < 2:
             raise ValueError("a partition needs at least two groups")
+        _check_offset("heal_after", heal_after)
         self._add(FaultAction(at, FaultKind.PARTITION, groups=frozen))
         if heal_after is not None:
-            if heal_after <= 0:
-                raise ValueError("heal_after must be > 0")
             self._add(FaultAction(at + heal_after, FaultKind.HEAL))
         return self
 
     def slow_disk(self, node: str, at: float, factor: float,
                   duration: Optional[float] = None) -> "FaultSchedule":
         """Degrade ``node``'s disk by ``factor``; optionally restore."""
-        if factor < 1.0:
-            raise ValueError(f"slow-disk factor must be >= 1.0, got {factor}")
+        _check_offset("duration", duration)
         self._add(FaultAction(at, FaultKind.SLOW_DISK, target=node,
                               factor=factor))
         if duration is not None:
-            if duration <= 0:
-                raise ValueError("duration must be > 0")
             self._add(FaultAction(at + duration, FaultKind.RESTORE_DISK,
                                   target=node))
         return self
@@ -180,11 +189,10 @@ class FaultSchedule:
                   jitter_s: float = 0.0,
                   duration: Optional[float] = None) -> "FaultSchedule":
         """Gray failure: drop a fraction of ``node``'s packets / add jitter."""
+        _check_offset("duration", duration)
         self._add(FaultAction(at, FaultKind.FLAKY_NIC, target=node,
                               loss=loss, jitter_s=jitter_s))
         if duration is not None:
-            if duration <= 0:
-                raise ValueError("duration must be > 0")
             self._add(FaultAction(at + duration, FaultKind.RESTORE_NIC,
                                   target=node))
         return self
@@ -192,11 +200,10 @@ class FaultSchedule:
     def zombie(self, node: str, at: float, slowdown: float = 20.0,
                duration: Optional[float] = None) -> "FaultSchedule":
         """Gray failure: ``node`` stays up but runs ``slowdown``x slower."""
+        _check_offset("duration", duration)
         self._add(FaultAction(at, FaultKind.ZOMBIE, target=node,
                               factor=slowdown))
         if duration is not None:
-            if duration <= 0:
-                raise ValueError("duration must be > 0")
             self._add(FaultAction(at + duration, FaultKind.UNZOMBIE,
                                   target=node))
         return self
@@ -283,8 +290,7 @@ class FaultSchedule:
         """
         if not nodes:
             raise ValueError("need at least one node to schedule faults on")
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be > 0")
+        _check_offset("horizon_s", horizon_s)
         rng = random.Random(seed)
         max_outage = max_outage_s if max_outage_s is not None else \
             max(min_outage_s, 0.3 * horizon_s)

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from typing import Iterable, Mapping, Optional
 
 __all__ = ["SeriesWindow", "WindowedSeries"]
@@ -61,8 +62,9 @@ class WindowedSeries:
     """
 
     def __init__(self, window_s: float):
-        if window_s <= 0:
-            raise ValueError(f"window_s must be > 0, got {window_s}")
+        if not 0 < window_s < math.inf:
+            raise ValueError(
+                f"window_s must be positive and finite, got {window_s}")
         self.window_s = window_s
         #: window index -> {channel: value}
         self._cells: dict[int, dict[str, float]] = {}

@@ -27,6 +27,7 @@ fixed configuration yields byte-identical sweep payloads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import partial
 from typing import Optional
@@ -174,11 +175,13 @@ class OpenLoopRun:
                  shape: Optional[ArrivalShape] = None,
                  timeline_s: Optional[float] = None):
         for name, value in (("offered_rate", offered_rate),
-                            ("duration_s", duration_s)):
-            if value <= 0:
-                raise ValueError(f"{name} must be positive, got {value}")
-        if warmup_s < 0:
-            raise ValueError(f"warmup_s must be >= 0, got {warmup_s}")
+                            ("duration_s", duration_s), ("slo_s", slo_s)):
+            if not 0 < value < math.inf:
+                raise ValueError(
+                    f"{name} must be positive and finite, got {value}")
+        if not 0 <= warmup_s < math.inf:
+            raise ValueError(
+                f"warmup_s must be >= 0 and finite, got {warmup_s}")
         self.offered_rate = offered_rate
         self.duration_s = duration_s
         self.warmup_s = warmup_s

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Optional
 
@@ -139,15 +140,18 @@ class BenchmarkConfig:
             raise ValueError("n_nodes must be >= 1")
         if self.records_per_node < 1:
             raise ValueError("records_per_node must be >= 1")
-        if self.duration_s is not None and self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.availability_window_s <= 0:
-            raise ValueError("availability_window_s must be positive")
+        for name in ("duration_s", "availability_window_s",
+                     "metrics_interval_s"):
+            value = getattr(self, name)
+            if value is not None and not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        # NaN stays valid: the orchestrator's planner marks a config it
+        # must not cache with a NaN target; 0 means unthrottled.
+        if self.target_throughput is not None and self.target_throughput < 0:
+            raise ValueError("target_throughput must be >= 0")
         if (self.trace_sample_every is not None
                 and self.trace_sample_every < 1):
             raise ValueError("trace_sample_every must be >= 1")
-        if self.metrics_interval_s is not None and self.metrics_interval_s <= 0:
-            raise ValueError("metrics_interval_s must be positive")
         if self.sustained_subwindows < 2:
             raise ValueError("sustained_subwindows must be >= 2")
         if not 0.0 <= self.sustained_tolerance <= 1.0:
