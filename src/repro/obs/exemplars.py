@@ -23,21 +23,11 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from typing import Optional
 
-from repro.ycsb.stats import LatencyHistogram
+from repro.ycsb.stats import LatencyHistogram, latency_bucket
 
 __all__ = ["ExemplarStore", "latency_bucket", "bucket_lower_s"]
-
-
-def latency_bucket(latency_s: float) -> int:
-    """The :class:`LatencyHistogram` bucket index for ``latency_s``."""
-    if latency_s <= LatencyHistogram.MIN_LATENCY:
-        return 0
-    index = int(math.log10(latency_s / LatencyHistogram.MIN_LATENCY)
-                * LatencyHistogram.BUCKETS_PER_DECADE)
-    return min(index, LatencyHistogram.N_BUCKETS - 1)
 
 
 def bucket_lower_s(index: int) -> float:

@@ -16,7 +16,7 @@ from repro.faults.availability import AvailabilityTimeline
 from repro.stores.base import OpType
 from repro.trace.breakdown import ComponentBreakdown
 
-__all__ = ["ERROR_KINDS", "LatencyHistogram", "RunStats"]
+__all__ = ["ERROR_KINDS", "LatencyHistogram", "RunStats", "latency_bucket"]
 
 #: Error classification recorded alongside per-op error counts:
 #: ``store`` — semantic store failure (OpError / failed result);
@@ -50,13 +50,6 @@ class LatencyHistogram:
         """Smallest recorded latency (0 when empty, like ``max``)."""
         return self._min if self.count else 0.0
 
-    def _bucket(self, latency_s: float) -> int:
-        if latency_s <= self.MIN_LATENCY:
-            return 0
-        index = int(math.log10(latency_s / self.MIN_LATENCY)
-                    * self.BUCKETS_PER_DECADE)
-        return min(index, self.N_BUCKETS - 1)
-
     def record(self, latency_s: float, error: bool = False,
                kind: Optional[str] = None) -> None:
         """Add one measured operation.
@@ -70,7 +63,7 @@ class LatencyHistogram:
         self.total += latency_s
         self._min = min(self._min, latency_s)
         self.max = max(self.max, latency_s)
-        self._counts[self._bucket(latency_s)] += 1
+        self._counts[latency_bucket(latency_s)] += 1
         if error:
             self.errors += 1
             key = kind or "store"
@@ -112,6 +105,15 @@ class LatencyHistogram:
         self.errors += other.errors
         for kind, n in other.error_kinds.items():
             self.error_kinds[kind] = self.error_kinds.get(kind, 0) + n
+
+
+def latency_bucket(latency_s: float) -> int:
+    """The :class:`LatencyHistogram` bucket index for ``latency_s``."""
+    if latency_s <= LatencyHistogram.MIN_LATENCY:
+        return 0
+    index = int(math.log10(latency_s / LatencyHistogram.MIN_LATENCY)
+                * LatencyHistogram.BUCKETS_PER_DECADE)
+    return min(index, LatencyHistogram.N_BUCKETS - 1)
 
 
 @dataclass
