@@ -187,7 +187,6 @@ class OpenLoopRun:
         self.warmup_s = warmup_s
         self.slo_s = slo_s
         self.shape = shape
-        self.timeline_s = timeline_s
         self.latency = LatencyHistogram()
         #: Measured successes within ``slo_s``.  Kept apart from
         #: ``latency``: a bucketed histogram cannot answer "<= slo_s".
