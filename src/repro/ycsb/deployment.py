@@ -108,9 +108,12 @@ class Deployment:
 
     def attempt(self, session, op, key: str, fields, scan_length: int,
                 started: float):
-        """:func:`~repro.ycsb.client.attempt_op` under this deployment's
-        retry policy, budget and breaker, due ``deadline_s`` after
-        ``started``; returns the process body."""
+        """Process body: one operation under this deployment's client policy.
+
+        The :func:`~repro.ycsb.client.attempt_op` call with this
+        deployment's retry policy, retry budget and circuit breaker, and a
+        deadline ``deadline_s`` after ``started``.
+        """
         deadline_s = self.deadline_s
         return attempt_op(
             session, op, key, fields, scan_length, self.retry,
