@@ -125,3 +125,24 @@ class TestClusterSpec:
             rebuilt = BenchmarkConfig.from_dict(config.to_dict())
             assert rebuilt.content_hash() == config.content_hash()
             assert rebuilt.cluster_spec == config.cluster_spec
+
+    #: Result-store addresses of one config per profile.  A change to
+    #: how a profile describes its hardware must leave these alone, or
+    #: every stored validation result silently becomes a cache miss.
+    PINNED_HASHES = {
+        "paper-m": "9a85619db59c443622527711efe26e0e"
+                   "c67e5e6459b0539f6d99f50669cc0890",
+        "paper-d": "bcfb3efd1f995861c351e266e91d8c3d"
+                   "1a72d4a8772ac2ec1a3fda7a8119a4f8",
+        "modern-ssd": "42d633bd8a5db890739c4f0adf913c47"
+                      "40229230a89615dc138ee35c894b52b3",
+        "modern-nvme": "2654223cd3829c6c7644a17876facd0b"
+                       "5f7dc9db559033c27f79edd20c95677b",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED_HASHES))
+    def test_profile_config_hashes_are_pinned(self, name):
+        config = BenchmarkConfig(
+            store="cassandra", workload=WORKLOAD_W, n_nodes=1,
+            cluster_spec=hardware_profile(name).cluster_spec())
+        assert config.content_hash() == self.PINNED_HASHES[name]
