@@ -46,7 +46,7 @@ def test_pruning_and_replan_cost(tmp_path):
         for e in frontier.entries)
     # The unpruned space: every node count up to each profile's ceiling
     # for every (store, hardware) pair.
-    unpruned = sum(p.max_nodes for p in PROFILES) * len(STORES)
+    unpruned = sum(p.spec.max_nodes for p in PROFILES) * len(STORES)
     print(f"\nplanner pruning: {frontier.examined} candidates examined, "
           f"{len(frontier.entries)} simulated "
           f"(of {unpruned} in the unpruned space), "

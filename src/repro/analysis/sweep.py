@@ -16,6 +16,7 @@ from typing import Iterable, Optional
 from repro.analysis.cache import ResultCache, default_cache
 from repro.analysis.provenance import stamp
 from repro.sim.cluster import CLUSTER_M, ClusterSpec
+from repro.stores.registry import UnsupportedWorkloadError
 from repro.ycsb.runner import BenchmarkResult
 from repro.ycsb.workload import Workload
 
@@ -106,7 +107,8 @@ def run_sweep(spec: SweepSpec,
 
     Stores that cannot run a workload (Voldemort under scans) are
     recorded in ``skipped`` rather than raising, so full-product sweeps
-    stay convenient.  ``progress`` is an optional callback
+    stay convenient; any other invalid point (a bad node count or
+    record count) raises.  ``progress`` is an optional callback
     ``(index, total, store, workload, nodes)``.
     """
     cache = cache or default_cache()
@@ -127,6 +129,6 @@ def run_sweep(spec: SweepSpec,
                 store_kwargs=dict(spec.store_kwargs),
             )
             results.append(result)
-        except ValueError as error:
+        except UnsupportedWorkloadError as error:
             skipped.append((store, workload, nodes, str(error)))
     return SweepResult(spec, results, skipped)

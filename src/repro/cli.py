@@ -32,7 +32,7 @@ from repro.analysis.figures import FIGURES, active_profile, build_figure
 from repro.analysis.report import render_figure
 from repro.core.capacity import plan_capacity
 from repro.faults.schedule import FaultSchedule
-from repro.sim.cluster import CLUSTER_D, CLUSTER_M
+from repro.sim.cluster import CLUSTERS
 from repro.stores.registry import STORE_NAMES
 from repro.ycsb.runner import run_benchmark
 from repro.ycsb.workload import WORKLOADS
@@ -59,7 +59,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
+    spec = CLUSTERS[args.cluster]
     trace_kwargs = {}
     if args.trace:
         trace_kwargs["trace_sample_every"] = args.trace_sample
@@ -121,7 +121,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_chaos(args: argparse.Namespace) -> int:
     workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
+    spec = CLUSTERS[args.cluster]
     nodes = [f"server-{i}" for i in range(args.nodes)]
     if args.random:
         schedule = FaultSchedule.random(
@@ -279,7 +279,7 @@ def _cmd_grid(args: argparse.Namespace) -> int:
     nodes = tuple(int(n) for n in args.nodes.split(","))
     spec = SweepSpec(
         stores=stores, workloads=tuple(workloads), node_counts=nodes,
-        cluster_spec=CLUSTER_D if args.cluster == "D" else CLUSTER_M,
+        cluster_spec=CLUSTERS[args.cluster],
         records_per_node=args.records, measured_ops=args.ops,
         warmup_ops=args.warmup, seed=args.seed,
     )
@@ -320,7 +320,7 @@ def _cmd_overload(args: argparse.Namespace) -> int:
     from repro.ycsb.runner import BenchmarkConfig
 
     workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
+    spec = CLUSTERS[args.cluster]
     policy = OverloadPolicy(
         max_queue=args.max_queue,
         deadline_s=args.deadline,
@@ -376,7 +376,7 @@ def _cmd_control(args: argparse.Namespace) -> int:
     from repro.ycsb.runner import BenchmarkConfig
 
     workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
+    spec = CLUSTERS[args.cluster]
     shape = parse_shape(args.shape) if args.shape else None
     # A deliberately slow per-op profile keeps demo rates in the
     # hundreds of ops/s so a full diurnal cycle simulates in seconds.
@@ -452,7 +452,7 @@ def _cmd_obs(args: argparse.Namespace) -> int:
     from repro.ycsb.runner import BenchmarkConfig
 
     workload = WORKLOADS[args.workload]
-    spec = CLUSTER_D if args.cluster == "D" else CLUSTER_M
+    spec = CLUSTERS[args.cluster]
     nodes = [f"server-{i}" for i in range(args.nodes)]
     schedule = None
     if args.crash:
@@ -667,7 +667,7 @@ def main(argv: list[str] | None = None) -> int:
     run_parser.add_argument("-w", "--workload", choices=list(WORKLOADS),
                             default="R")
     run_parser.add_argument("-n", "--nodes", type=int, default=4)
-    run_parser.add_argument("-c", "--cluster", choices=("M", "D"),
+    run_parser.add_argument("-c", "--cluster", choices=CLUSTERS,
                             default="M")
     run_parser.add_argument("--records", type=int, default=20_000,
                             help="records per node (scaled data set)")
@@ -706,7 +706,7 @@ def main(argv: list[str] | None = None) -> int:
     chaos_parser.add_argument("-w", "--workload", choices=list(WORKLOADS),
                               default="R")
     chaos_parser.add_argument("-n", "--nodes", type=int, default=4)
-    chaos_parser.add_argument("-c", "--cluster", choices=("M", "D"),
+    chaos_parser.add_argument("-c", "--cluster", choices=CLUSTERS,
                               default="M")
     chaos_parser.add_argument("--records", type=int, default=20_000,
                               help="records per node (scaled data set)")
@@ -792,7 +792,7 @@ def main(argv: list[str] | None = None) -> int:
     grid_parser.add_argument("--nodes", required=True,
                              help="comma-separated node counts")
     grid_parser.add_argument("-j", "--jobs", type=int, default=1)
-    grid_parser.add_argument("-c", "--cluster", choices=("M", "D"),
+    grid_parser.add_argument("-c", "--cluster", choices=CLUSTERS,
                              default="M")
     grid_parser.add_argument("--records", type=int, default=10_000,
                              help="records per node (default 10000)")
@@ -824,7 +824,7 @@ def main(argv: list[str] | None = None) -> int:
     overload_parser.add_argument("-w", "--workload",
                                  choices=list(WORKLOADS), default="R")
     overload_parser.add_argument("-n", "--nodes", type=int, default=1)
-    overload_parser.add_argument("-c", "--cluster", choices=("M", "D"),
+    overload_parser.add_argument("-c", "--cluster", choices=CLUSTERS,
                                  default="M")
     overload_parser.add_argument("--records", type=int, default=5_000,
                                  help="records per node (default 5000)")
@@ -874,7 +874,7 @@ def main(argv: list[str] | None = None) -> int:
                                 default="redis")
     control_parser.add_argument("-w", "--workload",
                                 choices=list(WORKLOADS), default="R")
-    control_parser.add_argument("-c", "--cluster", choices=("M", "D"),
+    control_parser.add_argument("-c", "--cluster", choices=CLUSTERS,
                                 default="M")
     control_parser.add_argument("-n", "--nodes", type=int, default=1,
                                 help="starting (and minimum) fleet of "
@@ -949,7 +949,7 @@ def main(argv: list[str] | None = None) -> int:
                             default="redis")
     obs_parser.add_argument("-w", "--workload",
                             choices=list(WORKLOADS), default="R")
-    obs_parser.add_argument("-c", "--cluster", choices=("M", "D"),
+    obs_parser.add_argument("-c", "--cluster", choices=CLUSTERS,
                             default="M")
     obs_parser.add_argument("-n", "--nodes", type=int, default=1)
     obs_parser.add_argument("--records", type=int, default=2000,

@@ -13,6 +13,7 @@ the control benchmark asserts on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -53,8 +54,8 @@ class ControlPolicy:
     shed_rate_per_s: Optional[float] = None
 
     def __post_init__(self):
-        if self.tick_s <= 0:
-            raise ValueError("tick_s must be positive")
+        if not 0 < self.tick_s < math.inf:
+            raise ValueError("tick_s must be positive and finite")
         if self.sustain_ticks < 1:
             raise ValueError("sustain_ticks must be >= 1")
         if not 0.0 < self.scale_in_pressure < self.scale_out_pressure <= 1.0:
@@ -65,9 +66,15 @@ class ControlPolicy:
             raise ValueError("min_nodes must be >= 1")
         if self.max_nodes < self.min_nodes:
             raise ValueError("max_nodes must be >= min_nodes")
-        if self.cooldown_s < 0 or self.replace_grace_s < 0 \
-                or self.provision_delay_s < 0:
-            raise ValueError("delays must be >= 0")
+        for name in ("cooldown_s", "replace_grace_s", "provision_delay_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be >= 0 and finite, got {value}")
+        shed = self.shed_rate_per_s
+        if shed is not None and not 0 < shed < math.inf:
+            raise ValueError(
+                f"shed_rate_per_s must be positive and finite, got {shed}")
 
     def to_dict(self) -> dict:
         return {

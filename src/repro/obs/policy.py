@@ -23,6 +23,7 @@ an overlay on a run, not part of the workload's identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -63,8 +64,9 @@ class SLO:
         if not 0.0 < self.target < 1.0:
             raise ValueError(f"target must be in (0, 1), got {self.target}")
         if self.kind == "latency":
-            if self.threshold_s is None or self.threshold_s <= 0:
-                raise ValueError("latency objectives need threshold_s > 0")
+            if self.threshold_s is None or not 0 < self.threshold_s < math.inf:
+                raise ValueError(
+                    "latency objectives need a finite threshold_s > 0")
         if self.error_kinds is not None:
             unknown = set(self.error_kinds) - set(ERROR_KINDS)
             if unknown:
@@ -130,12 +132,13 @@ class BurnRateRule:
     clear_ratio: float = 0.9
 
     def __post_init__(self):
-        if self.long_s <= 0 or self.short_s <= 0:
-            raise ValueError("burn-rate windows must be positive")
+        if not (0 < self.long_s < math.inf and 0 < self.short_s < math.inf):
+            raise ValueError("burn-rate windows long_s and short_s must be "
+                             "positive and finite")
         if self.short_s >= self.long_s:
             raise ValueError("short_s must be smaller than long_s")
-        if self.factor <= 0:
-            raise ValueError("factor must be positive")
+        if not 0 < self.factor < math.inf:
+            raise ValueError("factor must be positive and finite")
         if not 0.0 < self.clear_ratio <= 1.0:
             raise ValueError("clear_ratio must be in (0, 1]")
 
@@ -212,8 +215,8 @@ class ObsPolicy:
     recorder_min_gap_s: float = 0.5
 
     def __post_init__(self):
-        if self.window_s <= 0 or self.tick_s <= 0:
-            raise ValueError("window_s and tick_s must be positive")
+        if not (0 < self.window_s < math.inf and 0 < self.tick_s < math.inf):
+            raise ValueError("window_s and tick_s must be positive and finite")
         if self.exemplars_per_bucket < 1:
             raise ValueError("exemplars_per_bucket must be >= 1")
         if self.exemplars_per_violation < 1:
@@ -221,8 +224,9 @@ class ObsPolicy:
         if self.max_alert_exemplars < 0:
             raise ValueError("max_alert_exemplars must be >= 0")
         if (self.tail_slow_threshold_s is not None
-                and self.tail_slow_threshold_s <= 0):
-            raise ValueError("tail_slow_threshold_s must be positive")
+                and not 0 < self.tail_slow_threshold_s < math.inf):
+            raise ValueError(
+                "tail_slow_threshold_s must be positive and finite")
         if self.tail_keep_budget < 1:
             raise ValueError("tail_keep_budget must be >= 1")
         if self.tail_baseline_every < 0:
@@ -233,8 +237,8 @@ class ObsPolicy:
             raise ValueError("recorder_capacity must be >= 1")
         if self.recorder_max_dumps < 1:
             raise ValueError("recorder_max_dumps must be >= 1")
-        if self.recorder_min_gap_s < 0:
-            raise ValueError("recorder_min_gap_s must be >= 0")
+        if not 0 <= self.recorder_min_gap_s < math.inf:
+            raise ValueError("recorder_min_gap_s must be >= 0 and finite")
         names = [slo.name for slo in self.slos]
         if len(names) != len(set(names)):
             raise ValueError("SLO names must be unique")

@@ -30,7 +30,7 @@ from typing import Iterable
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.figures import FIGURES, BenchProfile
-from repro.stores.registry import store_class
+from repro.stores.registry import scan_mismatch
 from repro.ycsb.runner import BenchmarkConfig
 
 __all__ = ["GridPlan", "PlanningCache", "plan_figures", "derive_seed",
@@ -231,10 +231,9 @@ def sweep_configs(spec, derive_seeds: bool = False,
     configs: list[BenchmarkConfig] = []
     skipped: list[tuple[str, str]] = []
     for store_name, workload, nodes in spec.points():
-        if workload.has_scans and not store_class(store_name).supports_scans:
-            skipped.append(
-                (store_name,
-                 f"does not support scans (workload {workload.name})"))
+        reason = scan_mismatch(store_name, workload)
+        if reason is not None:
+            skipped.append((store_name, reason))
             continue
         seed = spec.seed
         if derive_seeds:

@@ -22,6 +22,7 @@ store) rather than as an opaque fingerprint.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -48,16 +49,18 @@ class OverloadPolicy:
     def __post_init__(self) -> None:
         if self.max_queue is not None and self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not 0 < self.deadline_s < math.inf:
             raise ValueError(
-                f"deadline_s must be positive, got {self.deadline_s}")
-        if self.retry_budget_per_s is not None and self.retry_budget_per_s < 0:
+                f"deadline_s must be positive and finite, "
+                f"got {self.deadline_s}")
+        if (self.retry_budget_per_s is not None
+                and not 0 <= self.retry_budget_per_s < math.inf):
             raise ValueError(
-                f"retry_budget_per_s must be >= 0, "
+                f"retry_budget_per_s must be >= 0 and finite, "
                 f"got {self.retry_budget_per_s}")
-        if self.retry_budget_burst < 0:
+        if not 0 <= self.retry_budget_burst < math.inf:
             raise ValueError(
-                f"retry_budget_burst must be >= 0, "
+                f"retry_budget_burst must be >= 0 and finite, "
                 f"got {self.retry_budget_burst}")
 
     def to_dict(self) -> dict:

@@ -1,194 +1,119 @@
-"""Validated hardware-profile registry for the capacity planner.
+"""Priced hardware-profile registry for the capacity planner.
 
-A :class:`HardwareProfile` is a priced, self-consistent node type the
-planner may provision: the paper's two test beds (Cluster M and
-Cluster D node types, Section 3) plus modern SSD/NVMe shapes, so the
-planner can answer both "what would the paper's hardware need?" and
-"what does this cost on current machines?".
+A :class:`HardwareProfile` is a node type the planner may provision: a
+:class:`~repro.sim.cluster.ClusterSpec` (the very description the
+simulator runs) plus a price.  The registry holds the paper's two test
+beds (Cluster M and Cluster D node types, Section 3) plus modern
+SSD/NVMe shapes, so the planner can answer both "what would the paper's
+hardware need?" and "what does this cost on current machines?".
 
-Profiles validate themselves at construction — a zero-throughput disk
-with nonzero capacity, a cache fraction outside ``(0, 1]``, a free node
-— because a planner search quietly exploring an inconsistent profile
-would recommend hardware that cannot exist.  Costs are expressed in
-node-cost units per hour relative to a paper Cluster M node (1.0), so
-recommendations rank configurations without pretending to know cloud
-list prices.
+The spec types validate themselves, so a planner search never explores
+hardware that cannot exist.  Costs are node-cost units per hour relative
+to a paper Cluster M node (1.0): recommendations rank configurations
+without pretending to know cloud list prices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, replace
 
 from repro.sim.cluster import CLUSTER_D, CLUSTER_M, ClusterSpec, NodeSpec
 from repro.sim.disk import DiskSpec
-from repro.sim.network import GIGABIT, NetworkSpec
 
 __all__ = ["HardwareProfile", "HARDWARE_PROFILES", "hardware_profile"]
 
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """One provisionable node type, priced and validated."""
+    """One provisionable node type: a priced :class:`ClusterSpec`."""
 
     name: str
     description: str
-    cores: int
-    core_speed: float
-    ram_bytes: int
-    disk: DiskSpec
-    #: Fraction of RAM available to page/store caches (JVM heaps and the
-    #: OS crowd out the rest — 0.25 on the paper's 4 GB Cluster D nodes).
-    cache_fraction: float
     #: Relative rental cost per node-hour (paper Cluster M node = 1.0).
     hourly_cost: float
-    connections_per_node: int = 128
-    max_nodes: int = 64
-    network: NetworkSpec = field(default_factory=lambda: GIGABIT)
+    #: The hardware the benchmark runner provisions.  Named
+    #: ``plan:<name>`` so the content hashes of configs on two profiles
+    #: can never collide.
+    spec: ClusterSpec
 
     def __post_init__(self):
         if not self.name:
             raise ValueError("profile needs a name")
-        if self.cores < 1:
-            raise ValueError(f"{self.name}: cores must be >= 1")
-        if self.core_speed <= 0:
-            raise ValueError(f"{self.name}: core_speed must be positive")
-        if self.ram_bytes < 1 << 20:
-            raise ValueError(f"{self.name}: ram_bytes must be >= 1 MiB")
-        if not 0 < self.cache_fraction <= 1:
+        if not 0 < self.hourly_cost < math.inf:
             raise ValueError(
-                f"{self.name}: cache_fraction must be in (0, 1], got "
-                f"{self.cache_fraction}")
-        if self.hourly_cost <= 0:
-            raise ValueError(f"{self.name}: hourly_cost must be positive")
-        if self.connections_per_node < 1:
+                f"{self.name}: hourly_cost must be positive and finite")
+        if self.spec.name != f"plan:{self.name}":
             raise ValueError(
-                f"{self.name}: connections_per_node must be >= 1")
-        if self.max_nodes < 1:
-            raise ValueError(f"{self.name}: max_nodes must be >= 1")
-        disk = self.disk
-        if disk.capacity_bytes > 0 and disk.seq_bandwidth_bytes_per_s <= 0:
-            raise ValueError(
-                f"{self.name}: disk has {disk.capacity_bytes} bytes of "
-                "capacity but zero throughput — data written to it could "
-                "never be read back")
-        if disk.seq_bandwidth_bytes_per_s < 0:
-            raise ValueError(f"{self.name}: disk bandwidth cannot be "
-                             "negative")
-        if disk.seek_time_s < 0 or disk.rotational_latency_s < 0:
-            raise ValueError(f"{self.name}: disk latencies cannot be "
-                             "negative")
-        if disk.capacity_bytes < 0:
-            raise ValueError(f"{self.name}: disk capacity cannot be "
-                             "negative")
-        if disk.queue_depth < 1:
-            raise ValueError(f"{self.name}: disk queue_depth must be >= 1")
-
-    @property
-    def cache_bytes(self) -> int:
-        """RAM available to caches on one node of this profile."""
-        return int(self.ram_bytes * self.cache_fraction)
-
-    def node_spec(self) -> NodeSpec:
-        """The simulator's node description for this profile."""
-        return NodeSpec(
-            cores=self.cores,
-            core_speed=self.core_speed,
-            ram_bytes=self.ram_bytes,
-            disk=self.disk,
-            cache_fraction=self.cache_fraction,
-        )
-
-    def cluster_spec(self) -> ClusterSpec:
-        """A :class:`ClusterSpec` the benchmark runner can provision.
-
-        The name embeds the profile so the resulting
-        :class:`~repro.ycsb.runner.BenchmarkConfig` content hashes of two
-        different profiles can never collide.
-        """
-        return ClusterSpec(
-            name=f"plan:{self.name}",
-            node=self.node_spec(),
-            max_nodes=self.max_nodes,
-            network=self.network,
-            connections_per_node=self.connections_per_node,
-        )
+                f"{self.name}: spec must be named 'plan:{self.name}', got "
+                f"{self.spec.name!r}")
 
     def cost(self, n_nodes: int) -> float:
         """Hourly cost of ``n_nodes`` nodes of this profile."""
         return n_nodes * self.hourly_cost
 
 
-def _paper_profile(name: str, description: str, spec, hourly_cost: float,
-                   ) -> HardwareProfile:
-    """Lift one of the paper's ClusterSpecs into a priced profile."""
-    node = spec.node
-    return HardwareProfile(
-        name=name,
-        description=description,
-        cores=node.cores,
-        core_speed=node.core_speed,
-        ram_bytes=node.ram_bytes,
-        disk=node.disk,
-        cache_fraction=node.cache_fraction,
-        hourly_cost=hourly_cost,
-        connections_per_node=spec.connections_per_node,
-        max_nodes=spec.max_nodes,
-        network=spec.network,
-    )
-
-
 #: Cluster M node (Section 3): 2x quad-core Xeon, 16 GB RAM, RAID-0
 #: spinning disks.  The cost anchor: 1.0 units/node-hour.
-PAPER_M = _paper_profile(
-    "paper-m",
-    "paper Cluster M node: 8 Xeon cores, 16 GiB RAM, RAID-0 HDD",
-    CLUSTER_M, hourly_cost=1.0)
+PAPER_M = HardwareProfile(
+    name="paper-m",
+    description="paper Cluster M node: 8 Xeon cores, 16 GiB RAM, RAID-0 HDD",
+    hourly_cost=1.0,
+    spec=replace(CLUSTER_M, name="plan:paper-m"))
 
 #: Cluster D node: 2x dual-core Xeon, 4 GB RAM, one disk.  Older and
 #: cheaper but disk-bound once the data outgrows its small cache.
-PAPER_D = _paper_profile(
-    "paper-d",
-    "paper Cluster D node: 4 slower Xeon cores, 4 GiB RAM, single HDD",
-    CLUSTER_D, hourly_cost=0.55)
+PAPER_D = HardwareProfile(
+    name="paper-d",
+    description="paper Cluster D node: 4 slower Xeon cores, 4 GiB RAM, "
+                "single HDD",
+    hourly_cost=0.55,
+    spec=replace(CLUSTER_D, name="plan:paper-d"))
 
 #: A current general-purpose cloud node: many fast cores, SATA SSD.
 MODERN_SSD = HardwareProfile(
     name="modern-ssd",
     description="modern node: 16 fast cores, 64 GiB RAM, SATA SSD",
-    cores=16,
-    core_speed=2.0,
-    ram_bytes=64 * 2**30,
-    disk=DiskSpec(
-        seq_bandwidth_bytes_per_s=500_000_000.0,
-        seek_time_s=0.0001,
-        rotational_latency_s=0.0,
-        capacity_bytes=1_000 * 10**9,
-        queue_depth=32,
-    ),
-    cache_fraction=0.7,
     hourly_cost=2.6,
-    connections_per_node=128,
-    max_nodes=64,
+    spec=ClusterSpec(
+        name="plan:modern-ssd",
+        node=NodeSpec(
+            cores=16,
+            core_speed=2.0,
+            ram_bytes=64 * 2**30,
+            disk=DiskSpec(
+                seq_bandwidth_bytes_per_s=500_000_000.0,
+                seek_time_s=0.0001,
+                rotational_latency_s=0.0,
+                capacity_bytes=1_000 * 10**9,
+                queue_depth=32,
+            ),
+        ),
+        max_nodes=64,
+    ),
 )
 
 #: A storage-optimised node: twice the cores, NVMe flash.
 MODERN_NVME = HardwareProfile(
     name="modern-nvme",
     description="storage-optimised node: 32 fast cores, 256 GiB RAM, NVMe",
-    cores=32,
-    core_speed=2.2,
-    ram_bytes=256 * 2**30,
-    disk=DiskSpec(
-        seq_bandwidth_bytes_per_s=3_000_000_000.0,
-        seek_time_s=0.00002,
-        rotational_latency_s=0.0,
-        capacity_bytes=2_000 * 10**9,
-        queue_depth=64,
-    ),
-    cache_fraction=0.7,
     hourly_cost=5.5,
-    connections_per_node=128,
-    max_nodes=64,
+    spec=ClusterSpec(
+        name="plan:modern-nvme",
+        node=NodeSpec(
+            cores=32,
+            core_speed=2.2,
+            ram_bytes=256 * 2**30,
+            disk=DiskSpec(
+                seq_bandwidth_bytes_per_s=3_000_000_000.0,
+                seek_time_s=0.00002,
+                rotational_latency_s=0.0,
+                capacity_bytes=2_000 * 10**9,
+                queue_depth=64,
+            ),
+        ),
+        max_nodes=64,
+    ),
 )
 
 #: Profiles the planner searches by default, in presentation order.

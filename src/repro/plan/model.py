@@ -12,8 +12,8 @@ CPU, disk, network — scaled to the cluster:
 * **Disk**: expected disk-seconds per operation from the store's write
   architecture (LSM append, B-tree read-modify-write, log-structured
   leaf faulting, or purely in-memory) and the cache-miss ratio, served
-  at the disk's queue depth.  The cache size mirrors
-  :func:`repro.ycsb.runner.scaled_spec` *exactly* — the model and the
+  at the disk's queue depth.  The cache size comes from
+  :func:`repro.ycsb.deployment.scaled_spec` itself — the model and the
   validating simulation must agree on whether a configuration is
   memory- or disk-bound, or the pruning step would discard candidates
   for the wrong reason.
@@ -41,6 +41,7 @@ from dataclasses import dataclass
 from repro.plan.hardware import HardwareProfile
 from repro.storage.record import APM_SCHEMA
 from repro.stores.registry import store_class
+from repro.ycsb.deployment import scaled_spec
 from repro.ycsb.runner import PAPER_RECORDS_PER_NODE
 from repro.ycsb.workload import Workload
 
@@ -97,29 +98,17 @@ class ModeledCapacity:
         }
 
 
-def _scaled_cache_bytes(hardware: HardwareProfile, records_per_node: int,
-                        paper_records_per_node: int) -> int:
-    """Cache bytes after the runner's RAM scaling (see ``scaled_spec``)."""
-    scale = records_per_node / paper_records_per_node
-    ram = hardware.ram_bytes
-    if scale < 1.0:
-        ram = max(1 << 20, int(ram * scale))
-    return int(ram * hardware.cache_fraction)
-
-
 def _mix_cpu_seconds(store_name: str, workload: Workload) -> float:
     """Mix-weighted server CPU per operation on a reference core."""
     cls = store_class(store_name)
     profile = cls.default_profile()
     scan_cpu = (profile.scan_base_cpu
                 + workload.scan_length * profile.scan_per_record_cpu)
-    write_prop = (workload.insert_proportion + workload.update_proportion
-                  + workload.delete_proportion)
     # Off-commit-path background work (e.g. BDB JE's log cleaner) still
     # consumes the node's cores, so it caps throughput.
     background = getattr(cls, "BACKGROUND_WRITE_CPU", 0.0)
     return (workload.read_proportion * profile.read_cpu
-            + write_prop * (profile.write_cpu + background)
+            + workload.write_fraction * (profile.write_cpu + background)
             + workload.scan_proportion * scan_cpu)
 
 
@@ -139,8 +128,7 @@ def _disk_seconds_per_op(store_name: str, workload: Workload,
         scan_bytes = workload.scan_length * schema.raw_record_bytes
         seconds += (workload.scan_proportion * miss_ratio
                     * disk.access_time(scan_bytes, sequential=False))
-    write_prop = (workload.insert_proportion + workload.update_proportion
-                  + workload.delete_proportion)
+    write_prop = workload.write_fraction
     if write_prop > 0:
         append = disk.access_time(schema.raw_record_bytes, sequential=True)
         if arch == "lsm":
@@ -169,10 +157,8 @@ def _wire_bytes_per_op(store_name: str, workload: Workload) -> float:
     write_bytes = schema.key_length + schema.raw_value_bytes
     scan_bytes = (schema.key_length
                   + workload.scan_length * schema.raw_value_bytes)
-    write_prop = (workload.insert_proportion + workload.update_proportion
-                  + workload.delete_proportion)
     return framing + (workload.read_proportion * read_bytes
-                      + write_prop * write_bytes
+                      + workload.write_fraction * write_bytes
                       + workload.scan_proportion * scan_bytes)
 
 
@@ -190,13 +176,14 @@ def modeled_capacity(store_name: str, hardware: HardwareProfile,
     if n_nodes < 1:
         raise ValueError("n_nodes must be >= 1")
     schema = APM_SCHEMA
+    node = hardware.spec.node
     data_bytes = records_per_node * schema.raw_record_bytes
-    cache_bytes = _scaled_cache_bytes(hardware, records_per_node,
-                                      paper_records_per_node)
+    cache_bytes = scaled_spec(hardware.spec, records_per_node,
+                              paper_records_per_node).node.cache_bytes
     miss_ratio = max(0.0, 1.0 - cache_bytes / data_bytes)
 
     arch = write_architecture(store_name)
-    if arch == "memory" and data_bytes > hardware.ram_bytes:
+    if arch == "memory" and data_bytes > node.ram_bytes:
         # An in-memory store cannot hold more data than RAM (the paper's
         # Redis runs died of exactly this); no node count fixes a
         # per-node overcommit.
@@ -210,18 +197,18 @@ def modeled_capacity(store_name: str, hardware: HardwareProfile,
     # The same inflation server_cost() applies: every open connection
     # adds a fraction of the base cost, and connections scale with the
     # fleet — this is what saturates Cassandra's speed-up (Section 8).
-    sessions = hardware.connections_per_node * n_nodes
+    sessions = hardware.spec.connections_per_node * n_nodes
     cpu_per_op = (_mix_cpu_seconds(store_name, workload)
                   * (1.0 + profile.per_connection_overhead * sessions))
-    cpu_bound = hardware.cores * hardware.core_speed / cpu_per_op
+    cpu_bound = node.cores * node.core_speed / cpu_per_op
 
     disk_seconds = _disk_seconds_per_op(store_name, workload, miss_ratio,
-                                        hardware.disk)
+                                        node.disk)
     disk_bound = (float("inf") if disk_seconds <= 0
-                  else hardware.disk.queue_depth / disk_seconds)
+                  else node.disk.queue_depth / disk_seconds)
 
     wire = _wire_bytes_per_op(store_name, workload)
-    network_bound = hardware.network.bandwidth_bytes_per_s / wire
+    network_bound = hardware.spec.network.bandwidth_bytes_per_s / wire
 
     per_node = min(cpu_bound, disk_bound, network_bound)
     binding = ("cpu" if per_node == cpu_bound

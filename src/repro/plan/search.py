@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro.plan.hardware import HARDWARE_PROFILES, HardwareProfile
 from repro.plan.model import ModeledCapacity, modeled_capacity
 from repro.plan.spec import LoadSpec
-from repro.stores.registry import STORE_NAMES, store_class
+from repro.stores.registry import STORE_NAMES, scan_mismatch
 from repro.ycsb.runner import PAPER_RECORDS_PER_NODE
 
 __all__ = ["Candidate", "FrontierEntry", "FrontierResult",
@@ -103,7 +103,7 @@ def analytical_frontier(spec: LoadSpec,
     """Prune the search space down to the simulation-worthy frontier.
 
     ``records_per_node`` must match what the validation runs will load:
-    the model's cache-miss arithmetic mirrors the runner's RAM scaling,
+    the model's cache-miss arithmetic applies the runner's RAM scaling,
     and the two sides have to see the same memory regime.
     """
     if profiles is None:
@@ -114,14 +114,12 @@ def analytical_frontier(spec: LoadSpec,
     infeasible: list[tuple[str, str, float]] = []
     examined = 0
     for store_name in stores:
-        cls = store_class(store_name)  # raises on unknown store
-        if spec.workload.has_scans and not cls.supports_scans:
-            skipped.append(
-                (store_name,
-                 f"does not support scans (workload {spec.workload.name})"))
+        reason = scan_mismatch(store_name, spec.workload)
+        if reason is not None:
+            skipped.append((store_name, reason))
             continue
         for hardware in profiles:
-            ceiling = hardware.max_nodes
+            ceiling = hardware.spec.max_nodes
             if max_nodes is not None:
                 ceiling = min(ceiling, max_nodes)
             best: FrontierEntry | None = None
@@ -176,11 +174,10 @@ def exhaustive_pick(spec: LoadSpec,
                 < (b.cost, b.n_nodes, b.store, b.hardware.name))
 
     for store_name in stores:
-        cls = store_class(store_name)
-        if spec.workload.has_scans and not cls.supports_scans:
+        if scan_mismatch(store_name, spec.workload) is not None:
             continue
         for hardware in profiles:
-            ceiling = hardware.max_nodes
+            ceiling = hardware.spec.max_nodes
             if max_nodes is not None:
                 ceiling = min(ceiling, max_nodes)
             for n_nodes in range(1, ceiling + 1):

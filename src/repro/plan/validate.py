@@ -1,7 +1,7 @@
 """Simulation validation of the analytical frontier.
 
 Each surviving candidate becomes a real :class:`BenchmarkConfig` — the
-candidate's hardware profile as the cluster spec, the load spec's
+candidate profile's ``spec`` as the cluster spec, the load spec's
 workload, and the required rate as a bounded-load target — and runs
 through the PR-4 orchestrator: the content-addressed
 :class:`~repro.orchestrator.store.ResultStore` makes re-planning free
@@ -148,7 +148,7 @@ def validation_config(entry: FrontierEntry, spec: LoadSpec,
         store=candidate.store,
         workload=spec.workload,
         n_nodes=candidate.n_nodes,
-        cluster_spec=candidate.hardware.cluster_spec(),
+        cluster_spec=candidate.hardware.spec,
         records_per_node=settings.records_per_node,
         measured_ops=settings.measured_ops,
         warmup_ops=settings.warmup_ops,

@@ -14,6 +14,7 @@ matching the paper's separation of YCSB client machines from storage nodes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 from repro.sim.disk import Disk, DiskSpec, PageCache
@@ -28,6 +29,7 @@ __all__ = [
     "Cluster",
     "CLUSTER_M",
     "CLUSTER_D",
+    "CLUSTERS",
 ]
 
 
@@ -41,6 +43,21 @@ class NodeSpec:
     disk: DiskSpec = field(default_factory=DiskSpec)
     #: Fraction of RAM the OS page cache / store caches may use.
     cache_fraction: float = 0.7
+
+    def __post_init__(self):
+        if not 1 <= self.cores < math.inf:
+            raise ValueError(f"cores must be >= 1, got {self.cores}")
+        if not 0 < self.core_speed < math.inf:
+            raise ValueError(
+                f"core_speed must be positive and finite, got "
+                f"{self.core_speed}")
+        if not 1 << 20 <= self.ram_bytes < math.inf:
+            raise ValueError(
+                f"ram_bytes must be >= 1 MiB, got {self.ram_bytes}")
+        if not 0 < self.cache_fraction <= 1:
+            raise ValueError(
+                f"cache_fraction must be in (0, 1], got "
+                f"{self.cache_fraction}")
 
     @property
     def cache_bytes(self) -> int:
@@ -60,6 +77,13 @@ class ClusterSpec:
     connections_per_node: int = 128
     #: Server nodes served by one client (workload generator) machine.
     servers_per_client: int = 3
+
+    def __post_init__(self):
+        for name in ("max_nodes", "connections_per_node",
+                     "servers_per_client"):
+            value = getattr(self, name)
+            if not 1 <= value < math.inf:
+                raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 #: Cluster M: memory-bound, 16 nodes, 8 cores / 16 GB RAM / RAID-0 disks.
@@ -103,6 +127,9 @@ CLUSTER_D = ClusterSpec(
     max_nodes=24,
     connections_per_node=8,  # 2 per core (Section 3)
 )
+
+#: The paper's two test beds by the names the CLI accepts.
+CLUSTERS = {"M": CLUSTER_M, "D": CLUSTER_D}
 
 
 class Node:

@@ -15,6 +15,7 @@ latency (Section 5.8).  Both effects are modelled:
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass
 
@@ -33,6 +34,25 @@ class DiskSpec:
     rotational_latency_s: float = 0.002  # half rotation at 15k rpm ~ 2 ms
     capacity_bytes: int = 74 * 10**9
     queue_depth: int = 4  # NCQ: overlapping requests the controller accepts
+
+    def __post_init__(self):
+        bandwidth = self.seq_bandwidth_bytes_per_s
+        if bandwidth == 0:
+            raise ValueError(
+                "seq_bandwidth_bytes_per_s is 0: a disk with zero "
+                "throughput could never read back what is written to it")
+        if not 0 < bandwidth < math.inf:
+            raise ValueError("seq_bandwidth_bytes_per_s must be positive "
+                             f"and finite, got {bandwidth}")
+        for name in ("seek_time_s", "rotational_latency_s",
+                     "capacity_bytes"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be >= 0 and finite, got {value}")
+        if not 1 <= self.queue_depth < math.inf:
+            raise ValueError(
+                f"queue_depth must be >= 1, got {self.queue_depth}")
 
     def access_time(self, nbytes: int, sequential: bool) -> float:
         """Service time for one request of ``nbytes``."""

@@ -17,6 +17,7 @@ The model captures the two effects the paper's results depend on:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -44,6 +45,17 @@ class NetworkSpec:
     #: A *crashed* peer answers with a TCP reset instead, so that failure
     #: costs only one round trip, not this timeout.
     unreachable_timeout_s: float = 0.25
+
+    def __post_init__(self):
+        if not 0 < self.bandwidth_bytes_per_s < math.inf:
+            raise ValueError("bandwidth_bytes_per_s must be positive and "
+                             f"finite, got {self.bandwidth_bytes_per_s}")
+        for name in ("latency_s", "per_message_overhead_bytes",
+                     "unreachable_timeout_s"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(
+                    f"{name} must be >= 0 and finite, got {value}")
 
     def wire_time(self, nbytes: int) -> float:
         """Serialisation time for a message of ``nbytes`` payload bytes."""

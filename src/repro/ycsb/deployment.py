@@ -24,7 +24,8 @@ from repro.faults.chaos import ChaosController
 from repro.overload.budget import CircuitBreaker, RetryBudget
 from repro.sim.cluster import Cluster, ClusterSpec
 from repro.storage.record import APM_SCHEMA
-from repro.stores.registry import store_class
+from repro.stores.registry import (UnsupportedWorkloadError, scan_mismatch,
+                                   store_class)
 from repro.ycsb.client import attempt_op
 from repro.ycsb.generator import generate_records
 
@@ -63,11 +64,11 @@ class Deployment:
 
     def __init__(self, config: "BenchmarkConfig"):
         cls = store_class(config.store)
-        if config.workload.has_scans and not cls.supports_scans:
-            raise ValueError(
-                f"{config.store} does not support scans (workload "
-                f"{config.workload.name}); the paper omits it from scan "
-                f"workloads")
+        reason = scan_mismatch(config.store, config.workload)
+        if reason is not None:
+            raise UnsupportedWorkloadError(
+                f"{config.store} {reason}; the paper omits it from scan "
+                "workloads")
         self.config = config
         self.schema = APM_SCHEMA
         self.spec = scaled_spec(config.cluster_spec, config.records_per_node,

@@ -229,16 +229,10 @@ class BenchmarkConfig:
                 "fault schedules and retry policies cannot cross a "
                 "process boundary")
         spec_d = payload["cluster_spec"]
-        node_d = dict(spec_d["node"])
+        node_d = spec_d["node"]
         node = NodeSpec(**{**node_d, "disk": DiskSpec(**node_d["disk"])})
-        spec = ClusterSpec(
-            name=spec_d["name"],
-            node=node,
-            max_nodes=spec_d["max_nodes"],
-            network=NetworkSpec(**spec_d["network"]),
-            connections_per_node=spec_d["connections_per_node"],
-            servers_per_client=spec_d["servers_per_client"],
-        )
+        spec = ClusterSpec(**{**spec_d, "node": node,
+                              "network": NetworkSpec(**spec_d["network"])})
         return cls(
             store=payload["store"],
             workload=Workload(**payload["workload"]),

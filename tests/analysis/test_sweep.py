@@ -1,5 +1,7 @@
 """Unit tests for the sweep API."""
 
+import pytest
+
 from repro.analysis.cache import ResultCache
 from repro.analysis.sweep import SweepSpec, run_sweep
 from repro.ycsb.workload import WORKLOAD_R, WORKLOAD_RS, WORKLOAD_W
@@ -32,7 +34,24 @@ class TestRunSweep:
         sweep = run_sweep(spec, cache=ResultCache())
         assert sweep.results == []
         assert len(sweep.skipped) == 1
-        assert "scans" in sweep.skipped[0][3]
+        assert sweep.skipped[0][3] == (
+            "voldemort does not support scans (workload RS); the paper "
+            "omits it from scan workloads")
+
+    @pytest.mark.parametrize("overrides,field", [
+        ({"records_per_node": 0}, "records_per_node"),
+        ({"node_counts": (0,)}, "n_nodes"),
+        ({"stores": ("nosuchstore",)}, "unknown store"),
+    ])
+    def test_invalid_points_raise_instead_of_skipping(self, overrides,
+                                                      field):
+        # Only a store/workload mismatch is a skip; a bad point is a bug
+        # in the sweep and must not vanish into ``skipped``.
+        kwargs = dict(stores=("redis",), workloads=(WORKLOAD_R,),
+                      node_counts=(1,), **TINY)
+        spec = SweepSpec(**{**kwargs, **overrides})
+        with pytest.raises(ValueError, match=field):
+            run_sweep(spec, cache=ResultCache())
 
     def test_series_and_best_by(self):
         spec = SweepSpec(stores=("redis", "voltdb"),

@@ -6,37 +6,45 @@ import pytest
 
 from repro.plan.hardware import (HARDWARE_PROFILES, HardwareProfile,
                                  hardware_profile)
-from repro.sim.cluster import CLUSTER_D, CLUSTER_M
+from repro.sim.cluster import CLUSTER_D, CLUSTER_M, ClusterSpec, NodeSpec
 from repro.sim.disk import DiskSpec
 from repro.ycsb.runner import BenchmarkConfig
 from repro.ycsb.workload import WORKLOAD_W
 
+NODE_FIELDS = ("cores", "core_speed", "ram_bytes", "disk", "cache_fraction")
+CLUSTER_FIELDS = ("connections_per_node", "max_nodes")
 
-def _valid_kwargs(**overrides):
-    kwargs = dict(
-        name="test",
-        description="a test node",
-        cores=8,
-        core_speed=1.0,
-        ram_bytes=16 * 2**30,
-        disk=DiskSpec(),
-        cache_fraction=0.7,
-        hourly_cost=1.0,
-    )
-    kwargs.update(overrides)
-    return kwargs
+
+def _profile(**overrides):
+    """A profile of a test node, with ``overrides`` routed to their type."""
+    node = {key: overrides.pop(key) for key in NODE_FIELDS
+            if key in overrides}
+    cluster = {key: overrides.pop(key) for key in CLUSTER_FIELDS
+               if key in overrides}
+    cluster.setdefault("max_nodes", 64)
+    name = overrides.pop("name", "test")
+    return HardwareProfile(
+        name=name,
+        description=overrides.pop("description", "a test node"),
+        hourly_cost=overrides.pop("hourly_cost", 1.0),
+        spec=ClusterSpec(name=f"plan:{name}", node=NodeSpec(**node),
+                         **cluster),
+        **overrides)
 
 
 class TestValidation:
+    # The hardware is validated by the spec types themselves, so a bad
+    # profile fails while its ClusterSpec is being built.  The NaN and
+    # infinity cases live in tests/ycsb/test_config_validation.py.
+
     def test_valid_profile_constructs(self):
-        profile = HardwareProfile(**_valid_kwargs())
-        assert profile.cache_bytes == int(16 * 2**30 * 0.7)
+        profile = _profile()
+        assert profile.spec.node.cache_bytes == int(16 * 2**30 * 0.7)
 
     def test_zero_throughput_disk_with_capacity_rejected(self):
-        dead_disk = DiskSpec(seq_bandwidth_bytes_per_s=0.0,
-                             capacity_bytes=74 * 10**9)
         with pytest.raises(ValueError, match="zero throughput"):
-            HardwareProfile(**_valid_kwargs(disk=dead_disk))
+            _profile(disk=DiskSpec(seq_bandwidth_bytes_per_s=0.0,
+                                   capacity_bytes=74 * 10**9))
 
     @pytest.mark.parametrize("overrides", [
         {"cores": 0},
@@ -50,38 +58,42 @@ class TestValidation:
         {"connections_per_node": 0},
         {"max_nodes": 0},
         {"name": ""},
+        {"hourly_cost": float("nan")},
+        {"hourly_cost": float("inf")},
     ])
     def test_inconsistent_scalar_specs_rejected(self, overrides):
         with pytest.raises(ValueError):
-            HardwareProfile(**_valid_kwargs(**overrides))
+            _profile(**overrides)
 
     @pytest.mark.parametrize("disk", [
-        DiskSpec(seq_bandwidth_bytes_per_s=-1.0),
-        DiskSpec(seek_time_s=-0.001),
-        DiskSpec(rotational_latency_s=-0.001),
-        DiskSpec(capacity_bytes=-1),
-        DiskSpec(queue_depth=0),
+        {"seq_bandwidth_bytes_per_s": -1.0},
+        {"seek_time_s": -0.001},
+        {"rotational_latency_s": -0.001},
+        {"capacity_bytes": -1},
+        {"queue_depth": 0},
     ])
     def test_inconsistent_disks_rejected(self, disk):
         with pytest.raises(ValueError):
-            HardwareProfile(**_valid_kwargs(disk=disk))
+            _profile(disk=DiskSpec(**disk))
+
+    def test_spec_must_carry_the_profile_name(self):
+        # The name keeps the content hashes of two profiles apart.
+        with pytest.raises(ValueError, match="plan:test"):
+            HardwareProfile(name="test", description="a test node",
+                            hourly_cost=1.0, spec=CLUSTER_M)
 
     def test_profiles_are_frozen(self):
-        profile = HardwareProfile(**_valid_kwargs())
+        profile = _profile()
         with pytest.raises(dataclasses.FrozenInstanceError):
             profile.hourly_cost = 0.0
 
 
 class TestRegistry:
     def test_paper_profiles_match_the_papers_clusters(self):
-        m = hardware_profile("paper-m")
-        assert m.node_spec() == CLUSTER_M.node
-        assert m.connections_per_node == CLUSTER_M.connections_per_node
-        assert m.max_nodes == CLUSTER_M.max_nodes
-        d = hardware_profile("paper-d")
-        assert d.node_spec() == CLUSTER_D.node
-        assert d.connections_per_node == CLUSTER_D.connections_per_node
-        assert d.max_nodes == CLUSTER_D.max_nodes
+        assert hardware_profile("paper-m").spec == dataclasses.replace(
+            CLUSTER_M, name="plan:paper-m")
+        assert hardware_profile("paper-d").spec == dataclasses.replace(
+            CLUSTER_D, name="plan:paper-d")
 
     def test_cost_anchor_and_ordering(self):
         # Cluster M nodes anchor the unit; the older Cluster D nodes are
@@ -109,7 +121,7 @@ class TestRegistry:
 
 class TestClusterSpec:
     def test_cluster_spec_names_disambiguate_profiles(self):
-        names = {profile.cluster_spec().name
+        names = {profile.spec.name
                  for profile in HARDWARE_PROFILES.values()}
         assert len(names) == len(HARDWARE_PROFILES)
 
@@ -120,7 +132,7 @@ class TestClusterSpec:
         for profile in HARDWARE_PROFILES.values():
             config = BenchmarkConfig(
                 store="cassandra", workload=WORKLOAD_W, n_nodes=1,
-                cluster_spec=profile.cluster_spec())
+                cluster_spec=profile.spec)
             assert config.is_portable
             rebuilt = BenchmarkConfig.from_dict(config.to_dict())
             assert rebuilt.content_hash() == config.content_hash()
@@ -144,5 +156,5 @@ class TestClusterSpec:
     def test_profile_config_hashes_are_pinned(self, name):
         config = BenchmarkConfig(
             store="cassandra", workload=WORKLOAD_W, n_nodes=1,
-            cluster_spec=hardware_profile(name).cluster_spec())
+            cluster_spec=hardware_profile(name).spec)
         assert config.content_hash() == self.PINNED_HASHES[name]

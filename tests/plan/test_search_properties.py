@@ -17,6 +17,7 @@ from repro.plan.hardware import HARDWARE_PROFILES, HardwareProfile
 from repro.plan.model import modeled_capacity
 from repro.plan.search import analytical_frontier, exhaustive_pick
 from repro.plan.spec import LoadSpec
+from repro.sim.cluster import ClusterSpec, NodeSpec
 from repro.sim.disk import DiskSpec
 from repro.stores.registry import STORE_NAMES
 from repro.ycsb.workload import WORKLOADS
@@ -34,18 +35,27 @@ disk_strategy = st.builds(
     queue_depth=st.integers(min_value=1, max_value=64),
 )
 
-profile_strategy = st.builds(
-    HardwareProfile,
-    name=st.just("generated"),
-    description=st.just("hypothesis-generated node"),
+node_strategy = st.builds(
+    NodeSpec,
     cores=st.integers(min_value=1, max_value=32),
     core_speed=st.floats(min_value=0.5, max_value=3.0),
     ram_bytes=st.integers(min_value=1 << 20, max_value=256 * 2**30),
     disk=disk_strategy,
     cache_fraction=st.floats(min_value=0.05, max_value=1.0),
+)
+
+profile_strategy = st.builds(
+    HardwareProfile,
+    name=st.just("generated"),
+    description=st.just("hypothesis-generated node"),
     hourly_cost=st.floats(min_value=0.1, max_value=10.0),
-    connections_per_node=st.integers(min_value=1, max_value=256),
-    max_nodes=st.just(MAX_NODES),
+    spec=st.builds(
+        ClusterSpec,
+        name=st.just("plan:generated"),
+        node=node_strategy,
+        max_nodes=st.just(MAX_NODES),
+        connections_per_node=st.integers(min_value=1, max_value=256),
+    ),
 )
 
 registered_profile = st.sampled_from(
@@ -87,7 +97,7 @@ def test_modeled_capacity_monotone_in_node_count(store, profile, workload,
        stores=st.sets(store_strategy, min_size=1, max_size=3),
        profiles=st.lists(any_profile, min_size=1, max_size=3,
                          unique_by=lambda p: (p.name, p.hourly_cost,
-                                              p.cores)))
+                                              p.spec.node.cores)))
 def test_frontier_never_discards_the_exhaustive_pick(spec, stores,
                                                      profiles):
     stores = tuple(sorted(stores))
@@ -114,7 +124,7 @@ def test_frontier_never_discards_the_exhaustive_pick(spec, stores,
        stores=st.sets(store_strategy, min_size=1, max_size=3),
        profiles=st.lists(any_profile, min_size=1, max_size=2,
                          unique_by=lambda p: (p.name, p.hourly_cost,
-                                              p.cores)))
+                                              p.spec.node.cores)))
 def test_frontier_entries_are_never_dominated(spec, stores, profiles):
     stores = tuple(sorted(stores))
     profiles = tuple(profiles)

@@ -1,22 +1,28 @@
 """Boundary validation: bad inputs fail before any simulation starts.
 
 Valid :class:`BenchmarkConfig` values round-trip losslessly through
-``to_dict``/``from_dict``; invalid ones — in the config or in the
-open-loop drive parameters — raise :class:`ValueError` before a
-:class:`~repro.sim.kernel.Simulator` (and so a cluster, a store or a
-load phase) is ever built.  A :class:`FaultSchedule` rejects a
-non-finite or out-of-range value in the DSL call that carries it.
+``to_dict``/``from_dict``; invalid ones — in the config, in its hardware
+spec or in the open-loop drive parameters — raise :class:`ValueError`
+before a :class:`~repro.sim.kernel.Simulator` (and so a cluster, a store
+or a load phase) is ever built.  A :class:`FaultSchedule` rejects a
+non-finite or out-of-range value in the DSL call that carries it, and
+the overload, observability and control policies reject one at
+construction.
 """
 
 from contextlib import contextmanager
+from dataclasses import replace
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.control import ControlPolicy
 from repro.faults.schedule import FaultSchedule
+from repro.obs import SLO, BurnRateRule, ObsPolicy
 from repro.overload import OverloadPolicy, run_overload_point
+from repro.sim.cluster import CLUSTER_D, CLUSTER_M
 from repro.sim.kernel import Simulator
 from repro.ycsb.runner import BenchmarkConfig, run_benchmark
 from repro.ycsb.workload import WORKLOADS
@@ -123,6 +129,118 @@ def test_scan_rejection_is_one_message_for_both_drivers():
         run_benchmark(config.store, config.workload, 1, config=config)
     with no_simulator(), pytest.raises(ValueError, match=message):
         run_overload_point(config, 100.0)
+
+
+#: One invalid value per hardware field the spec types guard, as a path
+#: into a ClusterSpec (and into ``to_dict()["cluster_spec"]``).
+INVALID_SPECS = [
+    (("node", "disk", "seq_bandwidth_bytes_per_s"), 0.0),
+    (("node", "disk", "seq_bandwidth_bytes_per_s"), -1.0),
+    (("node", "disk", "seq_bandwidth_bytes_per_s"), NAN),
+    (("node", "disk", "seq_bandwidth_bytes_per_s"), INF),
+    (("node", "disk", "seek_time_s"), -0.001),
+    (("node", "disk", "seek_time_s"), NAN),
+    (("node", "disk", "rotational_latency_s"), INF),
+    (("node", "disk", "capacity_bytes"), -1),
+    (("node", "disk", "capacity_bytes"), INF),
+    (("node", "disk", "queue_depth"), 0),
+    (("node", "cores"), 0),
+    (("node", "core_speed"), -1.0),
+    (("node", "core_speed"), NAN),
+    (("node", "core_speed"), INF),
+    (("node", "ram_bytes"), 1000),
+    (("node", "ram_bytes"), INF),
+    (("node", "cache_fraction"), 0.0),
+    (("node", "cache_fraction"), 1.5),
+    (("node", "cache_fraction"), NAN),
+    (("network", "bandwidth_bytes_per_s"), 0.0),
+    (("network", "bandwidth_bytes_per_s"), INF),
+    (("network", "latency_s"), -1e-6),
+    (("network", "latency_s"), NAN),
+    (("network", "per_message_overhead_bytes"), -1),
+    (("network", "unreachable_timeout_s"), -0.25),
+    (("network", "unreachable_timeout_s"), INF),
+    (("max_nodes",), 0),
+    (("connections_per_node",), 0),
+    (("servers_per_client",), 0),
+]
+
+
+def _replace_path(spec, path, value):
+    head, *rest = path
+    if rest:
+        value = _replace_path(getattr(spec, head), rest, value)
+    return replace(spec, **{head: value})
+
+
+@pytest.mark.parametrize("base", [CLUSTER_M, CLUSTER_D],
+                         ids=lambda spec: spec.name)
+@pytest.mark.parametrize("path,value", INVALID_SPECS)
+def test_invalid_spec_fails_at_construction(base, path, value):
+    with no_simulator(), pytest.raises(ValueError, match=path[-1]):
+        _replace_path(base, path, value)
+
+
+@pytest.mark.parametrize("path,value", INVALID_SPECS)
+def test_invalid_spec_fails_in_from_dict(path, value):
+    payload = BenchmarkConfig(store="redis", workload=WORKLOADS["R"],
+                              n_nodes=1, records_per_node=10).to_dict()
+    target = payload["cluster_spec"]
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with no_simulator(), pytest.raises(ValueError, match=path[-1]):
+        BenchmarkConfig.from_dict(payload)
+
+
+def test_invalid_overload_policy_fails_in_from_dict():
+    payload = BenchmarkConfig(store="redis", workload=WORKLOADS["R"],
+                              n_nodes=1, overload=OverloadPolicy()).to_dict()
+    payload["overload"]["deadline_s"] = NAN
+    with no_simulator(), pytest.raises(ValueError, match="deadline_s"):
+        BenchmarkConfig.from_dict(payload)
+
+
+LATENCY_SLO = {"name": "latency", "kind": "latency", "target": 0.99,
+               "threshold_s": 0.05}
+PAGE_RULE = {"name": "page", "long_s": 2.0, "short_s": 0.5, "factor": 8.0}
+
+
+# Non-finite values for every float a run-overlay policy carries.
+@pytest.mark.parametrize("cls,base,field,value", [
+    (OverloadPolicy, {}, "deadline_s", NAN),
+    (OverloadPolicy, {}, "deadline_s", INF),
+    (OverloadPolicy, {}, "retry_budget_per_s", NAN),
+    (OverloadPolicy, {}, "retry_budget_per_s", INF),
+    (OverloadPolicy, {}, "retry_budget_burst", NAN),
+    (ObsPolicy, {}, "window_s", NAN),
+    (ObsPolicy, {}, "window_s", INF),
+    (ObsPolicy, {}, "tick_s", NAN),
+    (ObsPolicy, {}, "tick_s", INF),
+    (ObsPolicy, {}, "recorder_min_gap_s", NAN),
+    (ObsPolicy, {}, "recorder_min_gap_s", INF),
+    (ObsPolicy, {}, "tail_slow_threshold_s", NAN),
+    (ObsPolicy, {}, "tail_slow_threshold_s", INF),
+    (SLO, LATENCY_SLO, "threshold_s", NAN),
+    (SLO, LATENCY_SLO, "threshold_s", INF),
+    (BurnRateRule, PAGE_RULE, "long_s", NAN),
+    (BurnRateRule, PAGE_RULE, "long_s", INF),
+    (BurnRateRule, PAGE_RULE, "short_s", NAN),
+    (BurnRateRule, PAGE_RULE, "factor", NAN),
+    (BurnRateRule, PAGE_RULE, "factor", INF),
+    (ControlPolicy, {}, "tick_s", NAN),
+    (ControlPolicy, {}, "tick_s", INF),
+    (ControlPolicy, {}, "cooldown_s", NAN),
+    (ControlPolicy, {}, "cooldown_s", INF),
+    (ControlPolicy, {}, "replace_grace_s", NAN),
+    (ControlPolicy, {}, "provision_delay_s", INF),
+    (ControlPolicy, {}, "shed_rate_per_s", NAN),
+    (ControlPolicy, {}, "shed_rate_per_s", INF),
+])
+def test_non_finite_policy_value_fails_at_construction(cls, base, field,
+                                                       value):
+    with pytest.raises(ValueError, match=field):
+        cls(**{**base, field: value})
 
 
 NODE = st.sampled_from(["server-0", "server-1"])
